@@ -276,7 +276,7 @@ def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunR
                     verify=False,
                 )
             with _Timer(report, "verify"):
-                ref = surgery.reference_field(config.domain, result.j, result.g0)
+                ref = causality.reference_field(config.domain, result.j, result.g0)
                 gh = causality.verify_global_hyperbolicity(
                     result.metric, ref, t_window=ver.t_window
                 )

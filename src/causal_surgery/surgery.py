@@ -448,7 +448,7 @@ def make_globally_hyperbolic(
     certificates = {}
     if verify:
         with _stage("verify"):
-            ref = reference_field(m.domain, j, g0)
+            ref = causality.reference_field(m.domain, j, g0)
             certificates["global_hyperbolicity"] = causality.verify_global_hyperbolicity(
                 stretched, ref, t_window=t_window
             )
@@ -466,17 +466,6 @@ def make_globally_hyperbolic(
                         f"{cert.detail}"
                     )
     return StretchResult(stretched, f, lower, j, g0, certificates)
-
-
-def reference_field(domain: SpatialDomain, j: ScalarField, g0: SpdField) -> SpdField:
-    """The complete comparison metric j(x) * g0(x) as an SpdField."""
-
-    def fn(x):
-        jv = np.asarray(j.fn(np.zeros(x.shape[0]), x), dtype=float)
-        jv = np.broadcast_to(jv, (x.shape[0],))
-        return jv[:, None, None] * np.asarray(g0.fn(x), dtype=float)
-
-    return SpdField(domain, fn)
 
 
 @dataclass(frozen=True)
@@ -501,7 +490,7 @@ def cone_inequality_report(
 ) -> ConeInequalityReport:
     """Grid check of the pointwise cone inequality on the stretched metric."""
     pts = stretched.domain.grid_points()
-    ref = reference_field(stretched.domain, j, g0)
+    ref = causality.reference_field(stretched.domain, j, g0)
     refv = np.asarray(ref.fn(pts), dtype=float)
     worst = INF
     scale = 0.0

@@ -15,7 +15,6 @@ from causal_surgery import (
     SpdField,
     asymptotic_join,
     causal_diamond_extent,
-    check_ultrastatic,
     cone_bound_factor,
     integrate_causal_curve,
     interpolate_ultrastatic,
@@ -26,6 +25,7 @@ from causal_surgery import (
     ultrastatic_metric,
     verify_cone_containment,
 )
+from causal_surgery.causality import check_ultrastatic_report
 from causal_surgery.cli import _DEMO_FILES
 from causal_surgery.eigen import gen_max_eig_batch
 from causal_surgery.profiles import smooth_unit_step
@@ -147,7 +147,7 @@ def test_criterion_3_join_certificates():
             float(np.max(np.abs(lam_a - lam_b))),
         )
     assert worst <= 1e-10
-    assert check_ultrastatic(art.metric, (-6.0, art.past_window[1]), tol=1e-10)
+    assert check_ultrastatic_report(art.metric, (-6.0, art.past_window[1]), tol=1e-10).passed
 
     # closed-form representation: plateau samples agree bit-exactly
     t_plateau = np.array([-4.0, -2.0, -1.0])

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causal_surgery import (
+    ConstantDirection,
     MetricField,
     ScalarField,
+    SpatialDomain,
     SpdField,
     causal_diamond_extent,
-    check_isometry_window,
-    check_ultrastatic,
     integrate_causal_curve,
     interpolate_ultrastatic,
     make_globally_hyperbolic,
@@ -21,13 +23,17 @@ from causal_surgery import (
     verify_cone_containment,
     verify_global_hyperbolicity,
 )
+from causal_surgery import causality
 from causal_surgery.causality import (
     SPEED_CERT_SLACK,
     HoldAtMaxDirection,
     PiecewiseRandomDirection,
+    check_isometry_report,
+    check_ultrastatic_report,
     ref_distance,
 )
-from causal_surgery.errors import DomainError, OrderError
+from causal_surgery.errors import DataError, DomainError, OrderError
+from causal_surgery.fields import grid_sample_metric
 from conftest import flrw_exp
 
 
@@ -183,6 +189,125 @@ def test_cone_containment_validates_start_range(flrw_circle):
         )
 
 
+_integrate_bundle = causality._integrate_bundle
+
+
+def _one_group_at_a_time(m, groups, t_end, step, record_every=1):
+    """The bundle integrator applied to each policy group on its own."""
+    paths = []
+    for group in groups:
+        [path], truncated = _integrate_bundle(m, [group], t_end, step, record_every)
+        paths.append(path)
+    return paths, truncated
+
+
+@pytest.fixture(scope="module")
+def bundle_cases():
+    """A passing closed-form certificate (stretched FLRW circle) and a
+    failing grid-backed one (2-d anisotropic metric, unstretched)."""
+    circle = SpatialDomain(1, (2 * np.pi,), (64,))
+    stretched = make_globally_hyperbolic(flrw_exp(circle), seed=0, verify=False)
+    torus = SpatialDomain(2, (2 * np.pi, 4.0), (8, 8))
+
+    def spatial(t, x):
+        c = 0.1 * np.cos(x[:, 1])
+        return np.stack([np.exp(2 * t), c, c, 1.0 + t * t], axis=-1).reshape(-1, 2, 2)
+
+    aniso = MetricField(torus, lapse=lambda t, x: 1.0 + 0.2 * np.sin(x[:, 0]), spatial=spatial)
+    return {
+        "closed-form": (stretched.metric, stretched.j, stretched.g0),
+        "grid": (grid_sample_metric(aniso, np.linspace(-1.5, 0.5, 6)),
+                 ScalarField.constant(1.0), _identity_ref(torus)),
+    }
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["closed-form", "grid"]),
+    n_samples=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    lo=st.floats(-1.5, 0.0),
+    width=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+)
+# single-curve groups in 2-d, where a batch-size-dependent quadratic form
+# would round differently once stacked
+@example(case="grid", n_samples=3, seed=3, lo=-1.5, width=0.0)
+@example(case="grid", n_samples=6, seed=6, lo=-1.5, width=0.0)
+def test_stacked_bundle_is_bit_identical_to_groups_alone(
+    bundle_cases, case, n_samples, seed, lo, width
+):
+    """One lockstep bundle gives exactly what integrating each policy group
+    alone gives, for any group sizes (some empty or single) and launch times."""
+    m, j, g0 = bundle_cases[case]
+    kwargs = dict(n_samples=n_samples, seed=seed, t_start_range=(lo, min(lo + width, 0.0)),
+                  step=0.05)
+    stacked = verify_cone_containment(m, j, g0, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(causality, "_integrate_bundle", _one_group_at_a_time)
+        alone = verify_cone_containment(m, j, g0, **kwargs)
+    assert stacked.passed == alone.passed
+    assert stacked.worst_margin == alone.worst_margin
+    assert stacked.detail == alone.detail
+    assert (stacked.witness is None) == (alone.witness is None)
+    if stacked.witness is not None:
+        np.testing.assert_array_equal(stacked.witness.times, alone.witness.times)
+        np.testing.assert_array_equal(stacked.witness.points, alone.witness.points)
+        assert stacked.witness.max_speed_ratio == alone.witness.max_speed_ratio
+        assert stacked.witness.policy == alone.witness.policy
+
+
+class _RecordingPolicy(ConstantDirection):
+    def __init__(self, u):
+        super().__init__(u)
+        self.calls = []
+
+    def directions(self, t, x, g):
+        self.calls.append("directions")
+        return super().directions(t, x, g)
+
+    def after_step(self, t, x):
+        self.calls.append("after_step")
+
+
+def test_zero_span_bundle_checks_launch_points_only(circle, monkeypatch):
+    """A group launched at t_end takes no step: one checked evaluation at the
+    launch points, no policy call, zero margin."""
+    m = flrw_exp(circle)
+    evals = []
+    eval_ = MetricField.eval
+
+    def recording_eval(self, t, x, check=True):
+        evals.append((np.array(t, dtype=float), check))
+        return eval_(self, t, x, check)
+
+    monkeypatch.setattr(MetricField, "eval", recording_eval)
+    policy = _RecordingPolicy(np.array([1.0]))
+    curve = integrate_causal_curve(m, (0.0, np.array([0.5])), policy, 0.0, 1e-3)
+    assert policy.calls == []
+    assert [check for _, check in evals] == [True]
+    np.testing.assert_array_equal(curve.times, [0.0])
+    np.testing.assert_array_equal(curve.points, [[0.5]])
+    assert curve.max_speed_ratio == 0.0
+
+    evals.clear()
+    report = verify_cone_containment(
+        m, ScalarField.constant(1.0), _identity_ref(circle),
+        n_samples=10, seed=1, t_start_range=(0.0, 0.0),
+    )
+    assert report.passed and report.worst_margin == 0.0
+    assert all(check and np.all(t == 0.0) for t, check in evals)
+    assert len(evals) == 4  # one per policy group
+
+    negative = MetricField(
+        circle, lapse=lambda t, x: -np.ones_like(t), spatial=m.spatial
+    )
+    with pytest.raises(DataError, match="non-positive lapse"):
+        verify_cone_containment(
+            negative, ScalarField.constant(1.0), _identity_ref(circle),
+            n_samples=4, seed=0, t_start_range=(0.0, 0.0),
+        )
+
+
 # -- global hyperbolicity certificate --------------------------------------
 
 
@@ -249,11 +374,15 @@ def test_diamond_rejects_reversed_order(torus):
 
 
 def test_check_ultrastatic(circle, ultra_circle, flrw_circle):
-    assert check_ultrastatic(ultra_circle, (-5.0, 5.0), tol=1e-12)
-    assert not check_ultrastatic(flrw_circle, (-1.0, 1.0), tol=1e-6)
+    assert check_ultrastatic_report(ultra_circle, (-5.0, 5.0), tol=1e-12).passed
+    report = check_ultrastatic_report(flrw_circle, (-1.0, 1.0), tol=1e-6)
+    assert not report.passed
+    assert "spatial form varies in time" in report.detail
 
 
 def test_check_isometry_window(flrw_circle):
     shifted = time_shift(flrw_circle, 1.5)
-    assert check_isometry_window(shifted, flrw_circle, (2.0, 3.0), shift=-1.5, tol=1e-12)
-    assert not check_isometry_window(shifted, flrw_circle, (2.0, 3.0), shift=0.0, tol=1e-6)
+    assert check_isometry_report(shifted, flrw_circle, (2.0, 3.0), shift=-1.5, tol=1e-12).passed
+    report = check_isometry_report(shifted, flrw_circle, (2.0, 3.0), shift=0.0, tol=1e-6)
+    assert not report.passed
+    assert "max relative deviation" in report.detail
