@@ -57,6 +57,22 @@ def reference_field(domain: SpatialDomain, j: ScalarField, g0: SpdField) -> SpdF
     return SpdField(domain, fn)
 
 
+def _quadratic_form(u, g):
+    """g(u, u) over the trailing axes (u (..., d), g (..., d, d), broadcast),
+    summed term by term in (i, j) order.
+
+    np.einsum rounds a one-row batch differently from the same row inside a
+    larger batch (d = 2); this sum does not, so stacking curves into one
+    bundle leaves every curve's arithmetic unchanged.
+    """
+    d = u.shape[-1]
+    out = 0.0
+    for i in range(d):
+        for j in range(d):
+            out = out + (u[..., i] * g[..., i, j]) * u[..., j]
+    return out
+
+
 def ref_distance(domain: SpatialDomain, ref: SpdField, x0, x1, n_quad: int = 16):
     """Distance between x0 and x1 in the reference metric.
 
@@ -66,22 +82,20 @@ def ref_distance(domain: SpatialDomain, ref: SpdField, x0, x1, n_quad: int = 16)
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=float))
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
-    d = domain.dimension
+    n, d = x0.shape
     base = domain.min_image(x1 - x0)
-    L = np.asarray(domain.circumferences)
-    best = np.full(x0.shape[0], INF)
+    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+    disp = base[None, :, :] + (shifts * np.asarray(domain.circumferences))[:, None, :]
+    # midpoint quadrature of sqrt(ref(dx, dx)) along every image's segment,
+    # all images in one reference evaluation
     s = (np.arange(n_quad) + 0.5) / n_quad
-    for shifts in itertools.product((-1.0, 0.0, 1.0), repeat=d):
-        disp = base + np.asarray(shifts) * L
-        # midpoint quadrature of sqrt(ref(dx, dx)) along the segment
-        seg = x0[None, :, :] + s[:, None, None] * disp[None, :, :]
-        forms = np.asarray(ref.fn(seg.reshape(-1, d)), dtype=float).reshape(
-            n_quad, x0.shape[0], d, d
-        )
-        quad = np.einsum("qni,qnij,qnj->qn", disp[None], forms, disp[None])
-        length = np.sqrt(np.maximum(quad, 0.0)).mean(axis=0)
-        best = np.minimum(best, length)
-    return best if best.shape[0] > 1 else float(best[0])
+    seg = x0[None, None] + s[None, :, None, None] * disp[:, None]
+    forms = np.asarray(ref.fn(seg.reshape(-1, d)), dtype=float).reshape(seg.shape + (d,))
+    quad = _quadratic_form(disp[:, None], forms)
+    # nodes summed in order, so a row's length does not depend on the batch
+    length = np.cumsum(np.sqrt(np.maximum(quad, 0.0)), axis=1)[:, -1] / n_quad
+    best = length.min(axis=0)
+    return best if n > 1 else float(best[0])
 
 
 def max_coordinate_speed(m: MetricField, ref: SpdField, t, x):
@@ -227,16 +241,6 @@ class CausalCurve:
     @property
     def end(self):
         return float(self.times[-1]), self.points[-1]
-
-
-def _quadratic_form(u, g):
-    """Per row, g(u, u) summed term by term in (i, j) order.
-
-    np.einsum rounds a one-row batch differently from the same row inside a
-    larger batch (d = 2); this sum does not, so stacking curves into one
-    bundle leaves every curve's arithmetic unchanged.
-    """
-    return ((u[:, :, None] * g) * u[:, None, :]).sum(axis=(1, 2))
 
 
 class _Run(NamedTuple):

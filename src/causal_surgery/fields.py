@@ -2,9 +2,10 @@
 
 A product Lorentzian metric is represented as -lapse(t,x) dt^2 + g_t(x), with
 both ingredients given as vectorized callables.  Closed-form fields evaluate
-exactly; grid-backed fields interpolate their samples with cubic splines,
-periodic in the spatial axes.  All field objects are immutable; evaluation is
-pure.
+exactly; a grid-backed metric interpolates its samples with one cubic
+tensor-product spline, periodic in the spatial axes, whose single fit covers
+the lapse and every spatial component, so one evaluation of the spatial form
+is one spline call.  All field objects are immutable; evaluation is pure.
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import NdBSpline
+from scipy.sparse.linalg import gcrotmk
 
 from .domain import SpatialDomain, is_spd_batch
 from .errors import DataError, DomainError, ShapeError
@@ -286,21 +288,38 @@ def conformal_metric(m: MetricField, factor: ScalarField) -> MetricField:
 _PAD = 3  # wrap padding cells per side; cubic interpolation needs 2
 
 
-class _PeriodicInterp:
-    """Cubic interpolation of samples on (t_grid x spatial grid), periodic in x."""
+def _not_a_knot(x: np.ndarray) -> np.ndarray:
+    """Cubic not-a-knot knot vector on the sample sites x."""
+    return np.concatenate([np.full(4, x[0]), x[2:-2], np.full(4, x[-1])])
 
-    def __init__(self, domain: SpatialDomain, t_grid: np.ndarray, values: np.ndarray):
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.ndim != 1 or t_grid.size < 4:
-            raise ShapeError("grid representation needs at least 4 time samples")
-        if values.shape != (t_grid.size,) + tuple(domain.resolution):
-            raise ShapeError(
-                f"sample array shape {values.shape} does not match grid"
-            )
+
+class _GridSpline:
+    """One cubic tensor-product spline over (t_grid x spatial grid), periodic
+    in x, for the lapse and every spatial component of a grid metric.
+
+    The spatial axes are padded with wrapped copies, the knots are
+    not-a-knot, and each component's coefficients come from its own gcrotmk
+    solve (atol 1e-6) of the one shared collocation system: per component,
+    the arithmetic of scipy's ``RegularGridInterpolator(method="cubic")``.
+    The coefficients are split into a lapse spline and a spatial spline
+    holding the upper triangle (row-major), so a lapse or spatial-form
+    evaluation is one spline call.
+    """
+
+    def __init__(self, domain: SpatialDomain, t_grid: np.ndarray,
+                 lapse_samples: np.ndarray, spatial_samples: np.ndarray):
+        d = domain.dimension
+        upper = [(a, b) for a in range(d) for b in range(a, d)]
+        # component index of each (a, b) entry of the symmetric spatial form
+        self._sym = np.empty((d, d), dtype=int)
+        for k, (a, b) in enumerate(upper):
+            self._sym[a, b] = self._sym[b, a] = k
         self.domain = domain
         axes = [t_grid]
-        padded = values
-        for ax in range(domain.dimension):
+        padded = np.stack(
+            [lapse_samples] + [spatial_samples[..., a, b] for a, b in upper], axis=-1
+        )
+        for ax in range(d):
             coords = domain.axis_coords(ax)
             h = domain.circumferences[ax] / domain.resolution[ax]
             ext = np.concatenate(
@@ -311,13 +330,28 @@ class _PeriodicInterp:
             left = np.take(padded, range(-_PAD, 0), axis=ax + 1)
             right = np.take(padded, range(_PAD), axis=ax + 1)
             padded = np.concatenate([left, padded, right], axis=ax + 1)
-        self._rgi = RegularGridInterpolator(
-            axes, padded, method="cubic", bounds_error=False, fill_value=None
-        )
+        knots = tuple(_not_a_knot(a) for a in axes)
+        sites = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+        design = NdBSpline.design_matrix(sites, knots, 3)
+        design.eliminate_zeros()
+        rhs = padded.reshape(sites.shape[0], -1)
+        coef = np.empty_like(rhs)
+        for j in range(rhs.shape[1]):
+            coef[:, j], info = gcrotmk(design, np.ascontiguousarray(rhs[:, j]), atol=1e-6)
+            if info != 0:
+                raise DataError(f"grid spline fit did not converge (gcrotmk info {info})")
+        coef = coef.reshape(padded.shape)
+        self._lapse = NdBSpline(knots, coef[..., 0], 3)
+        self._spatial = NdBSpline(knots, coef[..., 1:], 3)
 
-    def __call__(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        pts = np.column_stack([t, self.domain.wrap(x)])
-        return self._rgi(pts)
+    def _points(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.column_stack([t, self.domain.wrap(x)])
+
+    def lapse(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._lapse(self._points(t, x))
+
+    def spatial(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return self._spatial(self._points(t, x))[:, self._sym]
 
 
 def sample_metric(m: MetricField, t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -344,32 +378,32 @@ def grid_metric(
     lapse_samples: np.ndarray,
     spatial_samples: np.ndarray,
 ) -> MetricField:
-    """Build an interpolating metric from samples (cubic, periodic in x)."""
+    """Build an interpolating metric from samples (cubic, periodic in x).
+
+    One spline fit covers the lapse and every spatial component; an
+    evaluation is one spline call for the lapse and one for the spatial form.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
+    lapse_samples = np.asarray(lapse_samples, dtype=float)
+    spatial_samples = np.asarray(spatial_samples, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size < 4:
+        raise ShapeError("grid representation needs at least 4 time samples")
     d = domain.dimension
-    lam_i = _PeriodicInterp(domain, t_grid, np.asarray(lapse_samples, float))
-    comps = {}
-    for a in range(d):
-        for b in range(a, d):
-            comps[(a, b)] = _PeriodicInterp(
-                domain, t_grid, np.asarray(spatial_samples, float)[..., a, b]
-            )
-
-    def lapse(t, x):
-        return lam_i(t, x)
-
-    def spatial(t, x):
-        out = np.empty((t.shape[0], d, d))
-        for (a, b), interp in comps.items():
-            v = interp(t, x)
-            out[:, a, b] = v
-            out[:, b, a] = v
-        return out
-
+    shape = (t_grid.size,) + tuple(domain.resolution)
+    if lapse_samples.shape != shape:
+        raise ShapeError(
+            f"lapse sample array shape {lapse_samples.shape} does not match grid {shape}"
+        )
+    if spatial_samples.shape != shape + (d, d):
+        raise ShapeError(
+            f"spatial sample array shape {spatial_samples.shape} does not match "
+            f"grid {shape + (d, d)}"
+        )
+    spline = _GridSpline(domain, t_grid, lapse_samples, spatial_samples)
     return MetricField(
         domain,
-        lapse=lapse,
-        spatial=spatial,
+        lapse=spline.lapse,
+        spatial=spline.spatial,
         representation=GRID,
         window=(float(t_grid[0]), float(t_grid[-1])),
     )

@@ -111,10 +111,6 @@ def _atomic_write(path: str, data: str):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def export_fields(artifact, path: str, t_grid=None) -> list[str]:
     """Write CSV field dumps for an artifact; returns the file manifest.
 
@@ -138,25 +134,27 @@ def export_fields(artifact, path: str, t_grid=None) -> list[str]:
     domain = metric.domain
     d = domain.dimension
     pts = domain.grid_points()
+    upper = [(a, b) for a in range(d) for b in range(a, d)]
     cols = ["t"] + [f"x{i+1}" for i in range(d)] + ["lapse"]
-    cols += [f"g{a+1}{b+1}" for a in range(d) for b in range(a, d)]
+    cols += [f"g{a+1}{b+1}" for a, b in upper]
     if factor is not None:
         cols.append("f")
-    lines = [",".join(cols)]
+    row = ",".join(["%.17g"] * len(cols))
+    chunks = [",".join(cols) + "\n"]
+    block = np.empty((pts.shape[0], len(cols)))
+    block[:, 1 : 1 + d] = pts
     for t in t_grid:
         tb = np.full(pts.shape[0], t)
         lam, g = metric.eval(tb, pts, check=False)
-        fv = None
+        block[:, 0] = t
+        block[:, 1 + d] = lam
+        for k, (a, b) in enumerate(upper):
+            block[:, 2 + d + k] = g[:, a, b]
         if factor is not None:
-            fv = np.broadcast_to(np.asarray(factor.fn(tb, pts), float), tb.shape)
-        for i in range(pts.shape[0]):
-            row = [_fmt(t)] + [_fmt(c) for c in pts[i]] + [_fmt(lam[i])]
-            row += [_fmt(g[i, a, b]) for a in range(d) for b in range(a, d)]
-            if fv is not None:
-                row.append(_fmt(fv[i]))
-            lines.append(",".join(row))
+            block[:, -1] = np.asarray(factor.fn(tb, pts), float)
+        chunks.append("\n".join([row % tuple(r) for r in block.tolist()]) + "\n")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "".join(chunks))
     return [path]
 
 
@@ -189,35 +187,46 @@ def read_metric_dump(path: str, domain: SpatialDomain) -> MetricField:
         raise FormatError("grid interpolation needs at least 4 time samples", line=len(lines))
     n_cols = len(expected)
     n_spatial = d * (d + 1) // 2
-    t_grid = np.empty(n_t)
-    lam = np.empty((n_t, n_pts))
-    comps = np.empty((n_t, n_pts, n_spatial))
-    grid_pts = domain.grid_points()
+    data = np.zeros((n_data, n_cols))
+    n_parsed, parse_error = n_data, None
     for k, line in enumerate(lines[1:]):
         parts = line.split(",")
         if len(parts) < n_cols:
-            raise FormatError(
+            n_parsed, parse_error = k, FormatError(
                 f"expected at least {n_cols} columns, got {len(parts)}", line=k + 2
             )
+            break
         try:
-            vals = [float(p) for p in parts[:n_cols]]
+            data[k] = [float(p) for p in parts[:n_cols]]
         except ValueError as e:
-            raise FormatError(str(e), line=k + 2)
-        it, ip = divmod(k, n_pts)
-        if ip == 0:
-            t_grid[it] = vals[0]
-        elif vals[0] != t_grid[it]:
+            n_parsed, parse_error = k, FormatError(str(e), line=k + 2)
+            break
+    del lines  # free the text before the spline fit
+    # Layout checks cover the rows parsed before any parse error, so the
+    # earliest defective line is the one reported.
+    t_grid = data[::n_pts, 0].copy()
+    layout = data.reshape(n_t, n_pts, n_cols)
+    bad_t = layout[:, :, 0] != t_grid[:, None]
+    bad_t[:, 0] = False
+    bad_x = np.abs(layout[:, :, 1 : 1 + d] - domain.grid_points()).max(axis=2) > 1e-12
+    bad = (bad_t | bad_x).ravel()[:n_parsed]
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        row = data[k]
+        if bad_t.flat[k]:
             raise FormatError(
-                f"time value {vals[0]} breaks the t-outer row ordering", line=k + 2
+                f"time value {float(row[0])} breaks the t-outer row ordering", line=k + 2
             )
-        if np.max(np.abs(np.asarray(vals[1 : 1 + d]) - grid_pts[ip])) > 1e-12:
-            raise FormatError(
-                f"grid point {vals[1:1+d]} does not match the configured grid", line=k + 2
-            )
-        lam[it, ip] = vals[1 + d]
-        comps[it, ip] = vals[2 + d : 2 + d + n_spatial]
+        raise FormatError(
+            f"grid point {row[1 : 1 + d].tolist()} does not match the configured grid",
+            line=k + 2,
+        )
+    if parse_error is not None:
+        raise parse_error
     if np.any(np.diff(t_grid) <= 0):
         raise FormatError("time samples are not strictly increasing", line=1)
+    lam = data[:, 1 + d].reshape(n_t, n_pts)
+    comps = data[:, 2 + d :].reshape(n_t, n_pts, n_spatial)
     res = tuple(domain.resolution)
     spatial = np.empty((n_t, n_pts, d, d))
     idx = 0

@@ -56,6 +56,48 @@ def test_ref_distance_scales_with_metric(circle):
     assert d == pytest.approx(2.0, rel=1e-6)
 
 
+@pytest.fixture(scope="module")
+def distance_refs():
+    """Reference forms of each kind ref_distance meets: constant, closed-form
+    varying in space, and a grid metric's slice (2-d)."""
+    circle = SpatialDomain(1, (2 * np.pi,), (32,))
+    torus = SpatialDomain(2, (2 * np.pi, 4.0), (8, 8))
+
+    def varying(x):
+        c = 0.3 * np.sin(x[:, 0]) * np.cos(x[:, 1])
+        return np.stack([2.0 + np.cos(x[:, 1]), c, c, 1.5 + np.sin(x[:, 0])],
+                        axis=-1).reshape(-1, 2, 2)
+
+    aniso = MetricField(
+        torus, lapse=lambda t, x: np.ones_like(t),
+        spatial=lambda t, x: np.exp(t)[:, None, None] * varying(x),
+    )
+    return {
+        "constant-1d": (circle, SpdField.constant(circle, 3.0 * np.eye(1))),
+        "constant-2d": (torus, SpdField.constant(torus, np.array([[2.0, 0.3], [0.3, 1.0]]))),
+        "varying-2d": (torus, SpdField(torus, varying)),
+        "grid-2d": (torus, grid_sample_metric(aniso, np.linspace(-1, 1, 5)).spatial_slice(0.3)),
+    }
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["constant-1d", "constant-2d", "varying-2d", "grid-2d"]),
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**16),
+)
+def test_ref_distance_row_alone_equals_row_in_batch(distance_refs, case, n, seed):
+    """A point pair's distance does not depend on how many pairs share the call."""
+    domain, ref = distance_refs[case]
+    rng = np.random.default_rng(seed)
+    L = np.asarray(domain.circumferences)
+    x0 = rng.uniform(-0.5, 1.5, (n, domain.dimension)) * L
+    x1 = rng.uniform(-0.5, 1.5, (n, domain.dimension)) * L
+    batch = ref_distance(domain, ref, x0, x1)
+    alone = [ref_distance(domain, ref, x0[i], x1[i]) for i in range(n)]
+    np.testing.assert_array_equal(np.array(alone), batch)
+
+
 def test_max_coordinate_speed_ultrastatic(circle, ultra_circle):
     # g = 4 dx^2, ref = dx^2: speed = sqrt(1 * 1/4) = 1/2
     v = max_coordinate_speed(ultra_circle, _identity_ref(circle), 0.0, np.array([0.0]))

@@ -156,6 +156,32 @@ def test_dump_reader_reports_line_numbers(tmp_path):
         read_metric_dump(str(broken), domain)
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({9: "0.5,0.1"}, "line 10: expected at least 4 columns, got 2"),
+        ({40: "0.25,{x},1,1"}, "line 41: time value 0.25 breaks the t-outer row ordering"),
+        ({7: "{t},0.5,1,1"}, r"line 8: grid point \[0.5\] does not match the configured grid"),
+        # several defects: the earliest line is named, whatever its kind
+        ({7: "{t},0.5,1,1", 12: "0.5,0.1"}, "line 8: grid point"),
+        ({20: "x,0,1,1", 30: "0.25,{x},1,1"}, "line 21: could not convert"),
+        ({30: "0.25,{x},1,1", 20: "{t},{x},1"}, "line 21: expected at least 4 columns"),
+    ],
+)
+def test_dump_reader_names_the_defective_line(tmp_path, edits, message):
+    domain = SpatialDomain(1, (2 * np.pi,), (32,))
+    dump = str(tmp_path / "m.csv")
+    export_fields(flrw_exp(domain), dump, t_grid=np.linspace(-1, 1, 5))
+    lines = open(dump).read().splitlines()
+    for i, text in edits.items():
+        t, x = lines[i].split(",")[:2]
+        lines[i] = text.format(t=t, x=x)
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=message):
+        read_metric_dump(str(broken), domain)
+
+
 def test_dump_reader_rejects_truncation(tmp_path):
     domain = SpatialDomain(1, (2 * np.pi,), (32,))
     dump = str(tmp_path / "m.csv")

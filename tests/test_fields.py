@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from causal_surgery import (
     MetricField,
@@ -225,9 +226,86 @@ def test_grid_metric_needs_four_time_samples(circle):
         grid_sample_metric(m, np.linspace(-1, 1, 3))
 
 
-def test_grid_metric_shape_validation(circle):
+def test_grid_metric_shape_validation(circle, torus):
     with pytest.raises(ShapeError):
         grid_metric(circle, np.linspace(0, 1, 5), np.ones((5, 32)), np.ones((5, 32, 1, 1)))
+    # lapse and spatial samples that disagree with each other, not only with
+    # the grid, are a ShapeError too (never a ValueError from stacking them)
+    t_grid = np.linspace(0, 1, 5)
+    with pytest.raises(ShapeError):
+        grid_metric(circle, t_grid, np.ones((5, 64)), np.ones((5, 32, 1, 1)))
+    with pytest.raises(ShapeError):
+        grid_metric(circle, t_grid, np.ones((5, 32)), np.ones((5, 64, 1, 1)))
+    with pytest.raises(ShapeError):
+        grid_metric(torus, t_grid, np.ones((5, 16, 16)), np.ones((5, 16, 16, 1, 1)))
+
+
+def _rgi_oracle(domain, t_grid, values):
+    """Per-component cubic RegularGridInterpolator on the same wrap-padded
+    axes: the reference the fused grid spline must reproduce exactly."""
+    axes, padded = [t_grid], values
+    for ax in range(domain.dimension):
+        coords = domain.axis_coords(ax)
+        h = domain.circumferences[ax] / domain.resolution[ax]
+        axes.append(np.concatenate(
+            [coords[0] - h * np.arange(3, 0, -1), coords, coords[-1] + h * np.arange(1, 4)]
+        ))
+        padded = np.concatenate(
+            [np.take(padded, range(-3, 0), axis=ax + 1), padded,
+             np.take(padded, range(3), axis=ax + 1)], axis=ax + 1,
+        )
+    rgi = RegularGridInterpolator(axes, padded, method="cubic", bounds_error=False,
+                                  fill_value=None)
+    return lambda t, x: rgi(np.column_stack([t, domain.wrap(x)]))
+
+
+def _random_grid_metric(domain, rng):
+    d = domain.dimension
+    t_grid = np.linspace(-1.0, 2.0, 7)
+    shape = (t_grid.size,) + tuple(domain.resolution)
+    lam = 1.0 + 0.3 * rng.random(shape)
+    a = rng.random(shape + (d, d))
+    g = a @ np.swapaxes(a, -1, -2) + np.eye(d)
+    return t_grid, lam, g, grid_metric(domain, t_grid, lam, g)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_grid_metric_equals_per_component_cubic_interpolation(dim, n):
+    domain = (SpatialDomain(1, (2 * np.pi,), (32,)) if dim == 1
+              else SpatialDomain(2, (2 * np.pi, 4.0), (16, 12)))
+    rng = np.random.default_rng(100 * dim + n)
+    t_grid, lam, g, gm = _random_grid_metric(domain, rng)
+    # times inside the window, points far outside the fundamental cell
+    t = rng.uniform(-1.0, 2.0, n)
+    x = rng.uniform(-10.0, 10.0, (n, dim))
+    lam_b, g_b = gm.eval(t, x, check=False)
+    np.testing.assert_array_equal(lam_b, _rgi_oracle(domain, t_grid, lam)(t, x))
+    for a in range(dim):
+        for b in range(a, dim):
+            expect = _rgi_oracle(domain, t_grid, g[..., a, b])(t, x)
+            np.testing.assert_array_equal(g_b[:, a, b], expect)
+            np.testing.assert_array_equal(g_b[:, b, a], expect)
+    # a reference slice is the same spline at a fixed time
+    np.testing.assert_array_equal(gm.spatial_slice(0.5)(x), gm.spatial(np.full(n, 0.5), x))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_metric_nan_rows_stay_local(dim):
+    domain = (SpatialDomain(1, (2 * np.pi,), (32,)) if dim == 1
+              else SpatialDomain(2, (2 * np.pi, 4.0), (16, 12)))
+    rng = np.random.default_rng(7)
+    _, _, _, gm = _random_grid_metric(domain, rng)
+    t = rng.uniform(-1.0, 2.0, 9)
+    x = rng.uniform(0.0, 4.0, (9, dim))
+    t[2] = np.nan
+    x[5, -1] = np.nan
+    lam, g = gm.lapse(t, x), gm.spatial(t, x)
+    nan_rows = np.array([2, 5])
+    assert np.all(np.isnan(lam[nan_rows])) and np.all(np.isnan(g[nan_rows]))
+    keep = np.setdiff1d(np.arange(9), nan_rows)
+    np.testing.assert_array_equal(lam[keep], gm.lapse(t[keep], x[keep]))
+    np.testing.assert_array_equal(g[keep], gm.spatial(t[keep], x[keep]))
 
 
 def test_max_metric_deviation(circle):
