@@ -176,6 +176,9 @@ class EigenDirection:
         pass
 
     def directions(self, t, x, g):
+        if x.shape[1] == 1:
+            # on a circle the only unit direction is +1, whatever the pencil
+            return np.ones((x.shape[0], 1))
         refv = np.asarray(self.ref.fn(x), dtype=float)
         return gen_max_eig_direction(g, refv)
 

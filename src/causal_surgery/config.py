@@ -9,7 +9,7 @@ import numpy as np
 from .domain import MIN_RESOLUTION, SpatialDomain
 from .errors import ConfigError, FormatError
 from .expr import eval_expression, free_variables, parse_expression
-from .fields import MetricField, SpdField, ultrastatic_metric, warped_product
+from .fields import MetricField, SpdField, warped_product
 
 SCHEMA_VERSION = 1
 
@@ -232,8 +232,7 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
     p = spec.params
     if spec.catalog == "ultrastatic":
         g0 = _g0_field(domain, p, path)
-        m = ultrastatic_metric(domain, g0)
-        return MetricField(domain, lapse, m.spatial)
+        return MetricField(domain, lambda t, x: (lapse(t, x), g0.fn(x)))
     if spec.catalog == "flrw_exp":
         rate = p.get("rate", 1.0)
         _require(isinstance(rate, (int, float)) and abs(rate) <= 10.0,
@@ -266,7 +265,7 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
             scale[:, 1, 1] = s2 * s2
             return scale * np.asarray(g0.fn(x), float)
 
-        return MetricField(domain, lapse, spatial)
+        return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)))
     if spec.catalog == "custom":
         d = domain.dimension
         names = ["g11"] if d == 1 else ["g11", "g12", "g22"]
@@ -296,5 +295,5 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
                 out[:, 1, 1] = v22
             return out
 
-        return MetricField(domain, lapse, spatial)
+        return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)))
     raise ConfigError(f"{path}.catalog: unknown catalog entry {spec.catalog!r}")

@@ -92,7 +92,8 @@ def validate_spd(mat: np.ndarray, context: str = "form") -> np.ndarray:
 
 
 def is_spd_batch(mats: np.ndarray) -> np.ndarray:
-    """Vectorized SPD test for an (..., d, d) stack; returns a boolean mask."""
+    """Vectorized SPD test for an (..., d, d) stack, d in {1, 2}; returns a
+    boolean mask.  Any other d raises ShapeError."""
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[-1]
     if d == 1:
@@ -100,5 +101,4 @@ def is_spd_batch(mats: np.ndarray) -> np.ndarray:
     if d == 2:
         det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
         return (mats[..., 0, 0] > 0) & (det > 0)
-    evals = np.linalg.eigvalsh(sym_part(mats))
-    return evals[..., 0] > 0
+    raise ShapeError(f"batched SPD test needs d in {{1, 2}}, got d = {d}")

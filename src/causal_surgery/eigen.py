@@ -4,7 +4,7 @@ For SPD A and symmetric B, the largest mu with det(B - mu A) = 0 equals
 sup_{v != 0} B(v,v) / A(v,v); this realizes the supremum-over-directions step
 used by the cone-bounding inequality.  The scalar entry point delegates to
 scipy; the batched versions use closed forms for d in {1, 2}, which is all the
-torus domains need.
+torus domains have, and reject any other d.
 """
 from __future__ import annotations
 
@@ -28,9 +28,10 @@ def spd_generalized_max_eigenvalue(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def gen_max_eig_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Batched largest generalized eigenvalue for (..., d, d) stacks, d <= 2.
+    """Batched largest generalized eigenvalue for (..., d, d) stacks, d in {1, 2}.
 
     No SPD validation here; callers on hot paths validate at construction.
+    Any other d raises ShapeError (the torus domains only have d in {1, 2}).
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -51,13 +52,7 @@ def gen_max_eig_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         det = detB / detA
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         return 0.5 * (tr + disc)
-    out = np.empty(A.shape[:-2])
-    flatA = A.reshape(-1, d, d)
-    flatB = B.reshape(-1, d, d)
-    flat = out.reshape(-1)
-    for i in range(flatA.shape[0]):
-        flat[i] = scipy.linalg.eigh(flatB[i], flatA[i], eigvals_only=True)[-1]
-    return out
+    raise ShapeError(f"batched pencils need d in {{1, 2}}, got d = {d}")
 
 
 def gen_max_eig_direction(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Evaluable fields over R x T^d: scalars, SPD forms, and product metrics.
 
-A product Lorentzian metric is represented as -lapse(t,x) dt^2 + g_t(x), with
-both ingredients given as vectorized callables.  Closed-form fields evaluate
-exactly; a grid-backed metric interpolates its samples with one cubic
-tensor-product spline, periodic in the spatial axes, whose single fit covers
-the lapse and every spatial component, so one evaluation of the spatial form
-is one spline call.  All field objects are immutable; evaluation is pure.
+A product Lorentzian metric -lapse(t,x) dt^2 + g_t(x) is one vectorized
+callable ``fn(t, x) -> (lapse, spatial)`` that returns both ingredients
+together, so a composed layer (conformal factor, time reparametrization,
+stretch, splice) evaluates its input once per call and does its own work
+once.  Closed-form fields evaluate exactly; a grid-backed metric
+interpolates its samples with one cubic tensor-product spline, periodic in
+the spatial axes, whose single fit covers the lapse and every spatial
+component, so one metric evaluation is one spline call.  All field objects
+are immutable; evaluation is pure.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -151,11 +154,16 @@ class SpdField:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Product Lorentzian metric -lapse dt^2 + g_t on R x T^d."""
+    """Product Lorentzian metric -lapse dt^2 + g_t on R x T^d.
+
+    ``fn(t, x)`` takes a time batch t (n,) and points x (n, d) and returns
+    ``(lapse, spatial)``: the lapse (n,) (or anything that broadcasts to it)
+    and the spatial form (n, d, d).  It is called without window or value
+    checks; ``eval`` adds both.
+    """
 
     domain: SpatialDomain
-    lapse: Callable  # (t: (n,), x: (n, d)) -> (n,)
-    spatial: Callable  # (t: (n,), x: (n, d)) -> (n, d, d)
+    fn: Callable  # (t: (n,), x: (n, d)) -> (lapse (n,), spatial (n, d, d))
     representation: str = CLOSED_FORM
     window: tuple[float, float] = (-_INF, _INF)
 
@@ -172,8 +180,9 @@ class MetricField:
         """Batched evaluation: returns (lapse: (n,), spatial: (n, d, d))."""
         tb, xb, scalar = as_batch(t, x, self.domain.dimension)
         self._check_window(tb)
-        lam = np.broadcast_to(np.asarray(self.lapse(tb, xb), dtype=float), tb.shape)
-        g = np.asarray(self.spatial(tb, xb), dtype=float)
+        lam, g = self.fn(tb, xb)
+        lam = np.broadcast_to(np.asarray(lam, dtype=float), tb.shape)
+        g = np.asarray(g, dtype=float)
         if g.shape != (tb.shape[0], self.domain.dimension, self.domain.dimension):
             raise ShapeError(f"spatial field returned shape {g.shape}")
         if check:
@@ -197,88 +206,56 @@ class MetricField:
         t = float(t)
         return SpdField(
             self.domain,
-            lambda x: np.asarray(self.spatial(np.full(x.shape[0], t), x), dtype=float),
+            lambda x: np.asarray(self.fn(np.full(x.shape[0], t), x)[1], dtype=float),
         )
 
     def lapse_at(self, t, x):
         tb, xb, scalar = as_batch(t, x, self.domain.dimension)
         self._check_window(tb)
-        lam = np.broadcast_to(np.asarray(self.lapse(tb, xb), dtype=float), tb.shape)
+        lam = np.broadcast_to(np.asarray(self.fn(tb, xb)[0], dtype=float), tb.shape)
         return float(lam[0]) if scalar else lam
-
-
-def metric_eval(m: MetricField, t: float, x) -> tuple[float, np.ndarray]:
-    """Single-point evaluation: (lapse, spatial SPD form)."""
-    return m.eval(t, x)
-
-
-def product_metric(
-    domain: SpatialDomain,
-    lapse: Callable,
-    spatial: Callable,
-    representation: str = CLOSED_FORM,
-    window: tuple[float, float] = (-_INF, _INF),
-) -> MetricField:
-    return MetricField(domain, lapse, spatial, representation, window)
 
 
 def ultrastatic_metric(domain: SpatialDomain, h0) -> MetricField:
     """-dt^2 + h0 with time-independent spatial form and unit lapse."""
     h0field = h0 if isinstance(h0, SpdField) else SpdField.constant(domain, h0)
-    return MetricField(
-        domain,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: h0field.fn(x),
-    )
+    return MetricField(domain, lambda t, x: (np.ones_like(t), h0field.fn(x)))
 
 
 def warped_product(domain: SpatialDomain, scale: Callable, g0: SpdField,
                    lapse: Callable | None = None) -> MetricField:
     """-lapse dt^2 + a(t)^2 g0 for a scalar scale factor a(t)."""
-    if lapse is None:
-        lapse = lambda t, x: np.ones_like(t)
 
-    def spatial(t, x):
+    def fn(t, x):
+        lam = np.ones_like(t) if lapse is None else lapse(t, x)
         a = np.asarray(scale(np.asarray(t, float)), float)
-        return (a * a)[:, None, None] * np.asarray(g0.fn(x), float)
+        return lam, (a * a)[:, None, None] * np.asarray(g0.fn(x), float)
 
-    return MetricField(domain, lapse=lapse, spatial=spatial)
+    return MetricField(domain, fn)
 
 
 def time_reverse(m: MetricField) -> MetricField:
     """The metric evaluated at (-t, x); involution, window negated and swapped."""
     lo, hi = m.window
-    return replace(
-        m,
-        lapse=lambda t, x, _f=m.lapse: _f(-t, x),
-        spatial=lambda t, x, _f=m.spatial: _f(-t, x),
-        window=(-hi, -lo),
-    )
+    return replace(m, fn=lambda t, x, _f=m.fn: _f(-t, x), window=(-hi, -lo))
 
 
 def time_shift(m: MetricField, c: float) -> MetricField:
     """The metric evaluated at (t - c, x): m shifted forward in time by c."""
     c = float(c)
     lo, hi = m.window
-    return replace(
-        m,
-        lapse=lambda t, x, _f=m.lapse: _f(t - c, x),
-        spatial=lambda t, x, _f=m.spatial: _f(t - c, x),
-        window=(lo + c, hi + c),
-    )
+    return replace(m, fn=lambda t, x, _f=m.fn: _f(t - c, x), window=(lo + c, hi + c))
 
 
 def conformal_metric(m: MetricField, factor: ScalarField) -> MetricField:
     """Multiply the whole metric (lapse and spatial part) by a positive scalar."""
-    def lapse(t, x):
-        f = factor.fn(t, x)
-        return np.asarray(f, float) * np.asarray(m.lapse(t, x), float)
 
-    def spatial(t, x):
+    def fn(t, x):
         f = np.asarray(factor.fn(t, x), float)
-        return f[:, None, None] * np.asarray(m.spatial(t, x), float)
+        lam, g = m.fn(t, x)
+        return f * np.asarray(lam, float), f[:, None, None] * np.asarray(g, float)
 
-    return replace(m, lapse=lapse, spatial=spatial)
+    return replace(m, fn=fn)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +278,9 @@ class _GridSpline:
     not-a-knot, and each component's coefficients come from its own gcrotmk
     solve (atol 1e-6) of the one shared collocation system: per component,
     the arithmetic of scipy's ``RegularGridInterpolator(method="cubic")``.
-    The coefficients are split into a lapse spline and a spatial spline
-    holding the upper triangle (row-major), so a lapse or spatial-form
-    evaluation is one spline call.
+    The components sit on the spline's trailing axis, the lapse first and
+    then the spatial upper triangle (row-major), so evaluating the metric
+    (lapse and spatial form together) is one spline call.
     """
 
     def __init__(self, domain: SpatialDomain, t_grid: np.ndarray,
@@ -340,18 +317,11 @@ class _GridSpline:
             coef[:, j], info = gcrotmk(design, np.ascontiguousarray(rhs[:, j]), atol=1e-6)
             if info != 0:
                 raise DataError(f"grid spline fit did not converge (gcrotmk info {info})")
-        coef = coef.reshape(padded.shape)
-        self._lapse = NdBSpline(knots, coef[..., 0], 3)
-        self._spatial = NdBSpline(knots, coef[..., 1:], 3)
+        self._spline = NdBSpline(knots, coef.reshape(padded.shape), 3)
 
-    def _points(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.column_stack([t, self.domain.wrap(x)])
-
-    def lapse(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._lapse(self._points(t, x))
-
-    def spatial(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self._spatial(self._points(t, x))[:, self._sym]
+    def __call__(self, t: np.ndarray, x: np.ndarray):
+        out = self._spline(np.column_stack([t, self.domain.wrap(x)]))
+        return out[:, 0], out[:, 1:][:, self._sym]
 
 
 def sample_metric(m: MetricField, t_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -381,7 +351,7 @@ def grid_metric(
     """Build an interpolating metric from samples (cubic, periodic in x).
 
     One spline fit covers the lapse and every spatial component; an
-    evaluation is one spline call for the lapse and one for the spatial form.
+    evaluation is one spline call for both.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lapse_samples = np.asarray(lapse_samples, dtype=float)
@@ -399,11 +369,9 @@ def grid_metric(
             f"spatial sample array shape {spatial_samples.shape} does not match "
             f"grid {shape + (d, d)}"
         )
-    spline = _GridSpline(domain, t_grid, lapse_samples, spatial_samples)
     return MetricField(
         domain,
-        lapse=spline.lapse,
-        spatial=spline.spatial,
+        _GridSpline(domain, t_grid, lapse_samples, spatial_samples),
         representation=GRID,
         window=(float(t_grid[0]), float(t_grid[-1])),
     )

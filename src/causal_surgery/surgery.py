@@ -11,7 +11,7 @@ glues two such halves through a convex ultrastatic interpolation.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.ndimage
@@ -35,7 +35,6 @@ from .fields import (
     PlateauConstraint,
     ScalarField,
     SpdField,
-    conformal_metric,
     max_metric_deviation,
     time_reverse,
     time_shift,
@@ -373,19 +372,19 @@ def _recheck_majorant(maj, lower, domain, t_window):
 def stretch_metric(m: MetricField, f: ScalarField) -> MetricField:
     """-lambda dt^2 + f g_t: lapse unchanged, spatial part scaled pointwise."""
 
-    def spatial(t, x):
+    def fn(t, x):
+        lam, g = m.fn(t, x)
         fv = np.broadcast_to(np.asarray(f.fn(t, x), dtype=float), t.shape)
         if np.any(fv <= 0):
             i = int(np.argmax(fv <= 0))
             raise DomainError(
                 f"conformal factor {fv[i]} not positive at t={t[i]}, x={x[i].tolist()}"
             )
-        return fv[:, None, None] * np.asarray(m.spatial(t, x), dtype=float)
+        return lam, fv[:, None, None] * np.asarray(g, dtype=float)
 
     return MetricField(
         domain=m.domain,
-        lapse=m.lapse,
-        spatial=spatial,
+        fn=fn,
         representation=m.representation if f.representation != GRID else GRID,
         window=m.window,
     )
@@ -522,18 +521,21 @@ def normalize_conformal(m: MetricField) -> MetricField:
 
     The factor is s^{-1} on {t <= 0}, 1 on {t >= 1}, blended by the smooth
     unit step in between; the output lapse equals 1 for t <= 0 (up to one
-    rounding of s * s^{-1}) and s for t >= 1 (exactly).
+    rounding of s * s^{-1}) and s for t >= 1 (exactly).  The factor is
+    computed from the lapse of the one input evaluation.
     """
 
-    def factor(t, x):
-        s = np.broadcast_to(np.asarray(m.lapse(t, x), dtype=float), t.shape)
+    def fn(t, x):
+        lam, g = m.fn(t, x)
+        s = np.broadcast_to(np.asarray(lam, dtype=float), t.shape)
         if np.any(s <= 0):
             i = int(np.argmax(s <= 0))
             raise DomainError(f"non-positive lapse {s[i]} at t={t[i]}, x={x[i].tolist()}")
         th = smooth_unit_step(t)
-        return (1.0 - th) / s + th
+        f = (1.0 - th) / s + th
+        return f * s, f[:, None, None] * np.asarray(g, float)
 
-    return conformal_metric(m, ScalarField(fn=factor))
+    return replace(m, fn=fn)
 
 
 def freeze_past(m: MetricField) -> MetricField:
@@ -547,16 +549,9 @@ def freeze_past(m: MetricField) -> MetricField:
     if lo > 0.0:
         raise DomainError("freeze_past needs the input defined at time 0")
 
-    def lapse(t, x):
-        return m.lapse(smooth_freeze_ramp(t), x)
-
-    def spatial(t, x):
-        return m.spatial(smooth_freeze_ramp(t), x)
-
     return MetricField(
         domain=m.domain,
-        lapse=lapse,
-        spatial=spatial,
+        fn=lambda t, x: m.fn(smooth_freeze_ramp(t), x),
         representation=m.representation,
         window=(-INF, hi),
     )
@@ -598,18 +593,14 @@ def interpolate_ultrastatic(
     k0 = u0.spatial_slice(0.0)
     k1 = u1.spatial_slice(0.0)
 
-    def spatial(t, x):
+    def fn(t, x):
         th = smooth_unit_step(t)
-        return (
+        return np.ones_like(t), (
             th[:, None, None] * np.asarray(k1.fn(x), float)
             + (1.0 - th)[:, None, None] * np.asarray(k0.fn(x), float)
         )
 
-    metric = MetricField(
-        domain=u0.domain,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=spatial,
-    )
+    metric = MetricField(domain=u0.domain, fn=fn)
     convex = causality.verify_convex_bound(metric, k0, k1)
     if not convex.passed:
         raise CertificateError(f"convex comparison bound failed: {convex.detail}")
@@ -639,25 +630,23 @@ def splice(
             f"{dev:.3e} > tol {tol:.3e} at t={where[0]}, x={where[1]}"
         )
 
-    def piecewise(fa, fb, shape_tail):
-        def fn(t, x):
-            mask = t <= t_cut
-            if np.all(mask):
-                return np.asarray(fa(t, x), float)
-            if not np.any(mask):
-                return np.asarray(fb(t, x), float)
-            out = np.empty(t.shape + shape_tail)
-            out[mask] = fa(t[mask], x[mask])
-            out[~mask] = fb(t[~mask], x[~mask])
-            return out
-
-        return fn
-
     d = a.domain.dimension
+
+    def fn(t, x):
+        mask = t <= t_cut
+        if np.all(mask):
+            return a.fn(t, x)
+        if not np.any(mask):
+            return b.fn(t, x)
+        lam = np.empty(t.shape)
+        g = np.empty(t.shape + (d, d))
+        lam[mask], g[mask] = a.fn(t[mask], x[mask])
+        lam[~mask], g[~mask] = b.fn(t[~mask], x[~mask])
+        return lam, g
+
     return MetricField(
         domain=a.domain,
-        lapse=piecewise(a.lapse, b.lapse, ()),
-        spatial=piecewise(a.spatial, b.spatial, (d, d)),
+        fn=fn,
         representation=a.representation if a.representation == b.representation else GRID,
         window=(a.window[0], b.window[1]),
     )

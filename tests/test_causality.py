@@ -69,8 +69,7 @@ def distance_refs():
                         axis=-1).reshape(-1, 2, 2)
 
     aniso = MetricField(
-        torus, lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: np.exp(t)[:, None, None] * varying(x),
+        torus, fn=lambda t, x: (np.ones_like(t), np.exp(t)[:, None, None] * varying(x)),
     )
     return {
         "constant-1d": (circle, SpdField.constant(circle, 3.0 * np.eye(1))),
@@ -148,8 +147,7 @@ def test_backward_integration(circle):
 def test_curve_truncated_at_window(circle):
     m = MetricField(
         domain=circle,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: np.ones((t.shape[0], 1, 1)),
+        fn=lambda t, x: (np.ones_like(t), np.ones((t.shape[0], 1, 1))),
         window=(-0.5, 0.5),
     )
     curve = integrate_causal_curve(
@@ -255,7 +253,7 @@ def bundle_cases():
         c = 0.1 * np.cos(x[:, 1])
         return np.stack([np.exp(2 * t), c, c, 1.0 + t * t], axis=-1).reshape(-1, 2, 2)
 
-    aniso = MetricField(torus, lapse=lambda t, x: 1.0 + 0.2 * np.sin(x[:, 0]), spatial=spatial)
+    aniso = MetricField(torus, lambda t, x: (1.0 + 0.2 * np.sin(x[:, 0]), spatial(t, x)))
     return {
         "closed-form": (stretched.metric, stretched.j, stretched.g0),
         "grid": (grid_sample_metric(aniso, np.linspace(-1.5, 0.5, 6)),
@@ -340,9 +338,7 @@ def test_zero_span_bundle_checks_launch_points_only(circle, monkeypatch):
     assert all(check and np.all(t == 0.0) for t, check in evals)
     assert len(evals) == 4  # one per policy group
 
-    negative = MetricField(
-        circle, lapse=lambda t, x: -np.ones_like(t), spatial=m.spatial
-    )
+    negative = MetricField(circle, lambda t, x: (-np.ones_like(t), m.fn(t, x)[1]))
     with pytest.raises(DataError, match="non-positive lapse"):
         verify_cone_containment(
             negative, ScalarField.constant(1.0), _identity_ref(circle),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from causal_surgery import spd_generalized_max_eigenvalue
+from causal_surgery.domain import is_spd_batch
 from causal_surgery.eigen import gen_max_eig_batch, gen_max_eig_direction
 from causal_surgery.errors import DomainError, ShapeError
 
@@ -102,3 +103,14 @@ def test_direction_degenerate_pencil_returns_unit_vector():
     A = np.eye(2)[None]
     v = gen_max_eig_direction(A, 3.0 * A)
     np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_batch_kernels_reject_dimensions_other_than_one_or_two(d):
+    A = np.eye(d)[None]
+    with pytest.raises(ShapeError):
+        gen_max_eig_batch(A, A)
+    with pytest.raises(ShapeError):
+        gen_max_eig_direction(A, A)
+    with pytest.raises(ShapeError):
+        is_spd_batch(A)

@@ -12,7 +12,6 @@ from causal_surgery import (
     SpdField,
     conformal_metric,
     grid_metric,
-    metric_eval,
     time_reverse,
     time_shift,
     ultrastatic_metric,
@@ -107,7 +106,7 @@ def test_spd_field_constant(torus):
 
 
 def test_metric_eval_scalar_and_batch(flrw_circle):
-    lam, g = metric_eval(flrw_circle, 1.0, np.array([0.3]))
+    lam, g = flrw_circle.eval(1.0, np.array([0.3]))
     assert lam == pytest.approx(1.0)
     np.testing.assert_allclose(g, [[np.exp(2.0)]])
     t = np.linspace(-1, 1, 7)
@@ -119,15 +118,13 @@ def test_metric_eval_scalar_and_batch(flrw_circle):
 def test_metric_eval_rejects_bad_values(circle):
     bad_lapse = MetricField(
         domain=circle,
-        lapse=lambda t, x: -np.ones_like(t),
-        spatial=lambda t, x: np.ones((t.shape[0], 1, 1)),
+        fn=lambda t, x: (-np.ones_like(t), np.ones((t.shape[0], 1, 1))),
     )
     with pytest.raises(DataError, match="lapse"):
         bad_lapse.eval(0.0, np.array([0.0]))
     bad_spatial = MetricField(
         domain=circle,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: np.zeros((t.shape[0], 1, 1)),
+        fn=lambda t, x: (np.ones_like(t), np.zeros((t.shape[0], 1, 1))),
     )
     with pytest.raises(DataError, match="SPD"):
         bad_spatial.eval(0.0, np.array([0.0]))
@@ -136,8 +133,7 @@ def test_metric_eval_rejects_bad_values(circle):
 def test_metric_window_enforced(circle):
     m = MetricField(
         domain=circle,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: np.ones((t.shape[0], 1, 1)),
+        fn=lambda t, x: (np.ones_like(t), np.ones((t.shape[0], 1, 1))),
         window=(-1.0, 1.0),
     )
     m.eval(0.5, np.array([0.0]))
@@ -167,8 +163,7 @@ def test_time_reverse_and_shift(flrw_circle):
 def test_time_shift_window(circle):
     m = MetricField(
         domain=circle,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: np.ones((t.shape[0], 1, 1)),
+        fn=lambda t, x: (np.ones_like(t), np.ones((t.shape[0], 1, 1))),
         window=(-1.0, 1.0),
     )
     s = time_shift(m, 3.0)
@@ -209,8 +204,7 @@ def test_grid_metric_periodic_in_space(circle):
     f = ScalarField.from_space_function(lambda x: 2.0 + np.sin(x[:, 0]))
     m = MetricField(
         domain=circle,
-        lapse=lambda t, x: np.ones_like(t),
-        spatial=lambda t, x: (2.0 + np.sin(x[:, 0]))[:, None, None],
+        fn=lambda t, x: (np.ones_like(t), (2.0 + np.sin(x[:, 0]))[:, None, None]),
     )
     gm = grid_sample_metric(m, np.linspace(-1, 1, 9))
     x = np.array([[0.01], [2 * np.pi - 0.01]])
@@ -287,7 +281,7 @@ def test_grid_metric_equals_per_component_cubic_interpolation(dim, n):
             np.testing.assert_array_equal(g_b[:, a, b], expect)
             np.testing.assert_array_equal(g_b[:, b, a], expect)
     # a reference slice is the same spline at a fixed time
-    np.testing.assert_array_equal(gm.spatial_slice(0.5)(x), gm.spatial(np.full(n, 0.5), x))
+    np.testing.assert_array_equal(gm.spatial_slice(0.5)(x), gm.fn(np.full(n, 0.5), x)[1])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -300,12 +294,13 @@ def test_grid_metric_nan_rows_stay_local(dim):
     x = rng.uniform(0.0, 4.0, (9, dim))
     t[2] = np.nan
     x[5, -1] = np.nan
-    lam, g = gm.lapse(t, x), gm.spatial(t, x)
+    lam, g = gm.fn(t, x)
     nan_rows = np.array([2, 5])
     assert np.all(np.isnan(lam[nan_rows])) and np.all(np.isnan(g[nan_rows]))
     keep = np.setdiff1d(np.arange(9), nan_rows)
-    np.testing.assert_array_equal(lam[keep], gm.lapse(t[keep], x[keep]))
-    np.testing.assert_array_equal(g[keep], gm.spatial(t[keep], x[keep]))
+    lam_keep, g_keep = gm.fn(t[keep], x[keep])
+    np.testing.assert_array_equal(lam[keep], lam_keep)
+    np.testing.assert_array_equal(g[keep], g_keep)
 
 
 def test_max_metric_deviation(circle):
