@@ -9,6 +9,13 @@ interpolates its samples with one cubic tensor-product spline, periodic in
 the spatial axes, whose single fit covers the lapse and every spatial
 component, so one metric evaluation is one spline call.  All field objects
 are immutable; evaluation is pure.
+
+Every certificate that checks a field on a time x space lattice samples it
+with ``sample_metric(m, t_grid, pts=None, check=True)``: one evaluation per
+time value, in order, over the point set ``pts`` (the domain grid by
+default), stacked into (nt, n) lapse and (nt, n, d, d) spatial arrays for a
+metric, or (nt, n) values for a scalar field.  Callers reduce over the
+stacked arrays; the batching of lattice evaluations is decided here only.
 """
 from __future__ import annotations
 
@@ -22,9 +29,6 @@ from scipy.sparse.linalg import gcrotmk
 
 from .domain import SpatialDomain, is_spd_batch
 from .errors import DataError, DomainError, ShapeError
-
-CLOSED_FORM = "closed-form"
-GRID = "grid"
 
 CONSTANT_IN_T = "constant-in-t"
 IDENTICALLY_ONE = "identically-one"
@@ -80,7 +84,6 @@ class ScalarField:
 
     fn: Callable
     plateaus: tuple[PlateauConstraint, ...] = ()
-    representation: str = CLOSED_FORM
 
     @staticmethod
     def constant(value: float) -> "ScalarField":
@@ -164,7 +167,6 @@ class MetricField:
 
     domain: SpatialDomain
     fn: Callable  # (t: (n,), x: (n, d)) -> (lapse (n,), spatial (n, d, d))
-    representation: str = CLOSED_FORM
     window: tuple[float, float] = (-_INF, _INF)
 
     def _check_window(self, t: np.ndarray):
@@ -186,8 +188,9 @@ class MetricField:
         if g.shape != (tb.shape[0], self.domain.dimension, self.domain.dimension):
             raise ShapeError(f"spatial field returned shape {g.shape}")
         if check:
-            if np.any(lam <= 0):
-                i = int(np.argmax(lam <= 0))
+            bad = ~(lam > 0)  # NaN is not a positive lapse either
+            if np.any(bad):
+                i = int(np.argmax(bad))
                 raise DataError(
                     f"non-positive lapse {lam[i]} at t={tb[i]}, x={xb[i].tolist()}"
                 )
@@ -324,21 +327,30 @@ class _GridSpline:
         return out[:, 0], out[:, 1:][:, self._sym]
 
 
-def sample_metric(m: MetricField, t_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Sample lapse and spatial form on t_grid x the domain grid.
+def sample_metric(m, t_grid, pts=None, check: bool = True):
+    """Sample a metric or scalar field on the lattice t_grid x pts.
 
-    Returns (lapse: (nt, *res), spatial: (nt, *res, d, d)).
+    One evaluation per time value, in order: ``m.eval(t, pts, check)`` for a
+    MetricField, so an evaluation error names the earliest bad time, and
+    ``m.fn(t, pts)`` for a ScalarField (which needs ``pts``).  ``pts``
+    defaults to the metric's domain grid.  Returns (lapse (nt, n),
+    spatial (nt, n, d, d)) for a metric and the values (nt, n) for a scalar
+    field.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    pts = m.domain.grid_points()
-    res = tuple(m.domain.resolution)
+    if pts is None:
+        pts = m.domain.grid_points()
+    n = pts.shape[0]
+    if isinstance(m, ScalarField):
+        vals = np.empty((t_grid.size, n))
+        for i, t in enumerate(t_grid):
+            vals[i] = m.fn(np.full(n, t), pts)
+        return vals
     d = m.domain.dimension
-    lam = np.empty((t_grid.size,) + res)
-    g = np.empty((t_grid.size,) + res + (d, d))
+    lam = np.empty((t_grid.size, n))
+    g = np.empty((t_grid.size, n, d, d))
     for i, t in enumerate(t_grid):
-        li, gi = m.eval(np.full(pts.shape[0], t), pts)
-        lam[i] = li.reshape(res)
-        g[i] = gi.reshape(res + (d, d))
+        lam[i], g[i] = m.eval(np.full(n, t), pts, check=check)
     return lam, g
 
 
@@ -372,7 +384,6 @@ def grid_metric(
     return MetricField(
         domain,
         _GridSpline(domain, t_grid, lapse_samples, spatial_samples),
-        representation=GRID,
         window=(float(t_grid[0]), float(t_grid[-1])),
     )
 
@@ -380,41 +391,26 @@ def grid_metric(
 def grid_sample_metric(m: MetricField, t_grid) -> MetricField:
     """Sample a metric onto the grid and return the interpolating grid metric."""
     lam, g = sample_metric(m, t_grid)
-    return grid_metric(m.domain, t_grid, lam, g)
+    shape = lam.shape[:1] + tuple(m.domain.resolution)
+    return grid_metric(m.domain, t_grid, lam.reshape(shape), g.reshape(shape + g.shape[-2:]))
 
 
-def max_metric_deviation(
-    a: MetricField,
-    b: MetricField,
-    t_samples,
-    shift: float = 0.0,
-    relative: bool = True,
-):
-    """Worst componentwise deviation between a(t, x) and b(t + shift, x).
+def max_metric_deviation(a: MetricField, b: MetricField, t_samples, shift: float = 0.0):
+    """Worst componentwise relative deviation between a(t, x) and b(t + shift, x)
+    over t_samples x the grid; each difference is scaled by max(|value|, 1).
 
-    Returns (max_deviation, (t, x) location of the worst sample).
+    Returns (max_deviation, (t, x) location of the earliest worst sample).
     """
     if a.domain != b.domain:
         raise ShapeError("metrics live on different spatial domains")
+    ts = np.asarray(t_samples, dtype=float)
     pts = a.domain.grid_points()
-    worst = 0.0
-    where = (float(np.asarray(t_samples)[0]), pts[0].tolist())
-    for t in np.asarray(t_samples, dtype=float):
-        tb = np.full(pts.shape[0], t)
-        la, ga = a.eval(tb, pts, check=False)
-        lb, gb = b.eval(tb + shift, pts, check=False)
-        diff_l = np.abs(la - lb)
-        diff_g = np.abs(ga - gb).reshape(pts.shape[0], -1).max(axis=1)
-        if relative:
-            scale_l = np.maximum(np.maximum(np.abs(la), np.abs(lb)), 1.0)
-            scale_g = np.maximum(
-                np.abs(ga).reshape(pts.shape[0], -1).max(axis=1), 1.0
-            )
-            diff_l = diff_l / scale_l
-            diff_g = diff_g / scale_g
-        dev = np.maximum(diff_l, diff_g)
-        i = int(np.argmax(dev))
-        if dev[i] > worst:
-            worst = float(dev[i])
-            where = (float(t), pts[i].tolist())
-    return worst, where
+    la, ga = sample_metric(a, ts, pts, check=False)
+    lb, gb = sample_metric(b, ts + shift, pts, check=False)
+    ga = ga.reshape(la.shape + (-1,))
+    gb = gb.reshape(la.shape + (-1,))
+    diff_l = np.abs(la - lb) / np.maximum(np.maximum(np.abs(la), np.abs(lb)), 1.0)
+    diff_g = np.abs(ga - gb).max(axis=2) / np.maximum(np.abs(ga).max(axis=2), 1.0)
+    dev = np.maximum(diff_l, diff_g)
+    k, i = np.unravel_index(np.argmax(dev), dev.shape)
+    return float(dev[k, i]), (float(ts[k]), pts[i].tolist())

@@ -12,24 +12,7 @@ on [1, inf), monotone nondecreasing everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DomainError
-
-UNIT_STEP = "unit_step"
-FREEZE_RAMP = "freeze_ramp"
-
-
-def _bump(r: np.ndarray) -> np.ndarray:
-    """e(r) = exp(-1/r) for r > 0, exactly 0 otherwise.  Vectorized."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    pos = r > 0
-    with np.errstate(over="ignore", divide="ignore"):
-        out[pos] = np.exp(-1.0 / r[pos])
-    return out
 
 
 def smooth_unit_step(r):
@@ -44,8 +27,10 @@ def smooth_unit_step(r):
     mid = ~(lo | hi)
     if np.any(mid):
         rm = r[mid]
-        a = np.exp(-1.0 / rm)
-        b = np.exp(-1.0 / (1.0 - rm))
+        # -1/rm overflows to -inf for subnormal rm; exp(-inf) is the exact 0
+        with np.errstate(over="ignore", divide="ignore"):
+            a = np.exp(-1.0 / rm)
+            b = np.exp(-1.0 / (1.0 - rm))
         out[mid] = a / (a + b)
     return float(out[0]) if scalar else out
 
@@ -60,24 +45,3 @@ def smooth_freeze_ramp(r):
     out[r <= 0.0] = 0.0
     out[r >= 1.0] = r[r >= 1.0]
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class SmoothStepProfile:
-    """A named smooth monotone reparametrization with transition on [0, 1]."""
-
-    kind: str = UNIT_STEP
-
-    def __post_init__(self):
-        if self.kind not in (UNIT_STEP, FREEZE_RAMP):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
-
-    def __call__(self, r):
-        if self.kind == UNIT_STEP:
-            return smooth_unit_step(r)
-        return smooth_freeze_ramp(r)
-
-
-def smooth_step_eval(profile: SmoothStepProfile, r):
-    """Evaluate a profile; total function, plateau values exact."""
-    return profile(r)

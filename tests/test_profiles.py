@@ -1,11 +1,10 @@
 """Smooth step and freeze ramp: exact plateaus, smoothness, monotonicity."""
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import warnings
 
-from causal_surgery import SmoothStepProfile, smooth_step_eval
-from causal_surgery.errors import DomainError
+import numpy as np
+
 from causal_surgery.profiles import smooth_freeze_ramp, smooth_unit_step
 
 
@@ -67,14 +66,17 @@ def test_freeze_ramp_monotone_nondecreasing():
     assert np.all(v <= np.maximum(r, 0.0) + 1e-15)
 
 
-@pytest.mark.parametrize("kind", ["unit_step", "freeze_ramp"])
-def test_profile_object_matches_functions(kind):
-    p = SmoothStepProfile(kind)
-    r = np.linspace(-1, 2, 57)
-    expected = smooth_unit_step(r) if kind == "unit_step" else smooth_freeze_ramp(r)
-    np.testing.assert_array_equal(smooth_step_eval(p, r), expected)
-
-
-def test_profile_rejects_unknown_kind():
-    with pytest.raises(DomainError):
-        SmoothStepProfile("sigmoid")
+def test_subnormal_arguments_give_exact_zero_without_warnings():
+    # -1/r overflows to -inf for a subnormal r; theta(r) is still exactly 0
+    tiny = np.nextafter(0.0, 1.0)
+    r = np.array([tiny, 1e-310, np.finfo(float).tiny, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = smooth_unit_step(r)
+        psi = smooth_freeze_ramp(r)
+        assert smooth_unit_step(tiny) == 0.0
+        assert smooth_freeze_ramp(tiny) == 0.0
+        assert smooth_unit_step(1.0 - np.finfo(float).epsneg) == 1.0
+    np.testing.assert_array_equal(theta, 0.0)
+    np.testing.assert_array_equal(psi, 0.0)
+    assert not np.signbit(theta).any() and not np.signbit(psi).any()
