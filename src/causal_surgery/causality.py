@@ -35,7 +35,6 @@ from .fields import (
     MetricField,
     ScalarField,
     SpdField,
-    as_batch,
     max_metric_deviation,
     sample_metric,
 )
@@ -103,20 +102,6 @@ def ref_distance(domain: SpatialDomain, ref: SpdField, x0, x1, n_quad: int = 16)
     length = np.cumsum(np.sqrt(np.maximum(quad, 0.0)), axis=1)[:, -1] / n_quad
     best = length.min(axis=0)
     return best if n > 1 else float(best[0])
-
-
-def max_coordinate_speed(m: MetricField, ref: SpdField, t, x):
-    """Maximal reference-metric speed of causal velocities at (t, x).
-
-    Equals sqrt(lambda * mu) with mu the largest generalized eigenvalue of the
-    pencil (ref, g_t): causal curves satisfy g_t(kdot, kdot) <= lambda, so
-    their ref-speed is at most this value.
-    """
-    tb, xb, scalar = as_batch(t, x, m.domain.dimension)
-    lam, g = m.eval(tb, xb, check=True)
-    refv = np.asarray(ref.fn(xb), dtype=float)
-    out = np.sqrt(lam * gen_max_eig_batch(g, refv))
-    return float(out[0]) if scalar else out
 
 
 def _grid_sup_speed(m: MetricField, ref: SpdField, ts) -> np.ndarray:

@@ -6,9 +6,9 @@ together, so a composed layer (conformal factor, time reparametrization,
 stretch, splice) evaluates its input once per call and does its own work
 once.  Closed-form fields evaluate exactly; a grid-backed metric
 interpolates its samples with one cubic tensor-product spline, periodic in
-the spatial axes, whose single fit covers the lapse and every spatial
-component, so one metric evaluation is one spline call.  All field objects
-are immutable; evaluation is pure.
+the spatial axes, fitted exactly by one banded 1-D solve per axis for the
+lapse and every spatial component together, so one metric evaluation is one
+spline call.  All field objects are immutable; evaluation is pure.
 
 Every certificate that checks a field on a time x space lattice samples it
 with ``sample_metric(m, t_grid, pts=None, check=True)``: one evaluation per
@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import NdBSpline
-from scipy.sparse.linalg import gcrotmk
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .domain import SpatialDomain, is_spd_batch
 from .errors import DataError, DomainError, ShapeError
@@ -97,14 +96,6 @@ class ScalarField:
     @staticmethod
     def from_time_function(fn: Callable) -> "ScalarField":
         return ScalarField(fn=lambda t, x: np.asarray(fn(np.asarray(t, float)), float))
-
-    @staticmethod
-    def from_space_function(fn: Callable) -> "ScalarField":
-        sf = ScalarField(
-            fn=lambda t, x: np.asarray(fn(np.asarray(x, float)), float),
-            plateaus=(PlateauConstraint(-_INF, _INF, CONSTANT_IN_T),),
-        )
-        return sf
 
     def __call__(self, t, x, domain: SpatialDomain | None = None):
         xa = np.asarray(x, dtype=float)
@@ -212,12 +203,6 @@ class MetricField:
             lambda x: np.asarray(self.fn(np.full(x.shape[0], t), x)[1], dtype=float),
         )
 
-    def lapse_at(self, t, x):
-        tb, xb, scalar = as_batch(t, x, self.domain.dimension)
-        self._check_window(tb)
-        lam = np.broadcast_to(np.asarray(self.fn(tb, xb)[0], dtype=float), tb.shape)
-        return float(lam[0]) if scalar else lam
-
 
 def ultrastatic_metric(domain: SpatialDomain, h0) -> MetricField:
     """-dt^2 + h0 with time-independent spatial form and unit lapse."""
@@ -250,17 +235,6 @@ def time_shift(m: MetricField, c: float) -> MetricField:
     return replace(m, fn=lambda t, x, _f=m.fn: _f(t - c, x), window=(lo + c, hi + c))
 
 
-def conformal_metric(m: MetricField, factor: ScalarField) -> MetricField:
-    """Multiply the whole metric (lapse and spatial part) by a positive scalar."""
-
-    def fn(t, x):
-        f = np.asarray(factor.fn(t, x), float)
-        lam, g = m.fn(t, x)
-        return f * np.asarray(lam, float), f[:, None, None] * np.asarray(g, float)
-
-    return replace(m, fn=fn)
-
-
 # ---------------------------------------------------------------------------
 # grid-backed representation
 # ---------------------------------------------------------------------------
@@ -268,22 +242,18 @@ def conformal_metric(m: MetricField, factor: ScalarField) -> MetricField:
 _PAD = 3  # wrap padding cells per side; cubic interpolation needs 2
 
 
-def _not_a_knot(x: np.ndarray) -> np.ndarray:
-    """Cubic not-a-knot knot vector on the sample sites x."""
-    return np.concatenate([np.full(4, x[0]), x[2:-2], np.full(4, x[-1])])
-
-
 class _GridSpline:
     """One cubic tensor-product spline over (t_grid x spatial grid), periodic
     in x, for the lapse and every spatial component of a grid metric.
 
-    The spatial axes are padded with wrapped copies, the knots are
-    not-a-knot, and each component's coefficients come from its own gcrotmk
-    solve (atol 1e-6) of the one shared collocation system: per component,
-    the arithmetic of scipy's ``RegularGridInterpolator(method="cubic")``.
-    The components sit on the spline's trailing axis, the lapse first and
-    then the spatial upper triangle (row-major), so evaluating the metric
-    (lapse and spatial form together) is one spline call.
+    The spatial axes are padded with wrapped copies and the knots are
+    not-a-knot on every axis, so the interpolation system is a Kronecker
+    product of 1-D systems: one exact banded solve per axis
+    (``make_interp_spline``) gives the coefficients, and the spline
+    reproduces its samples to rounding.  The components sit on the spline's
+    trailing axis, the lapse first and then the spatial upper triangle
+    (row-major), so evaluating the metric (lapse and spatial form together)
+    is one spline call.
     """
 
     def __init__(self, domain: SpatialDomain, t_grid: np.ndarray,
@@ -310,17 +280,12 @@ class _GridSpline:
             left = np.take(padded, range(-_PAD, 0), axis=ax + 1)
             right = np.take(padded, range(_PAD), axis=ax + 1)
             padded = np.concatenate([left, padded, right], axis=ax + 1)
-        knots = tuple(_not_a_knot(a) for a in axes)
-        sites = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-        design = NdBSpline.design_matrix(sites, knots, 3)
-        design.eliminate_zeros()
-        rhs = padded.reshape(sites.shape[0], -1)
-        coef = np.empty_like(rhs)
-        for j in range(rhs.shape[1]):
-            coef[:, j], info = gcrotmk(design, np.ascontiguousarray(rhs[:, j]), atol=1e-6)
-            if info != 0:
-                raise DataError(f"grid spline fit did not converge (gcrotmk info {info})")
-        self._spline = NdBSpline(knots, coef.reshape(padded.shape), 3)
+        knots, coef = [], padded
+        for ax, sites in enumerate(axes):
+            spl = make_interp_spline(sites, coef, k=3, axis=ax)
+            knots.append(spl.t)
+            coef = np.moveaxis(spl.c, 0, ax)
+        self._spline = NdBSpline(tuple(knots), coef, 3)
 
     def __call__(self, t: np.ndarray, x: np.ndarray):
         out = self._spline(np.column_stack([t, self.domain.wrap(x)]))

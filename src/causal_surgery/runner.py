@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import os
 import time
@@ -13,7 +14,7 @@ from . import causality, surgery
 from .config import ScenarioConfig, build_metric
 from .domain import SpatialDomain
 from .errors import FormatError
-from .fields import MetricField, ScalarField, grid_metric, sample_metric
+from .fields import MetricField, grid_metric, sample_metric
 from .surgery import JoinArtifact, StretchResult
 
 EXIT_OK = 0
@@ -99,10 +100,11 @@ class _Timer:
         return False
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, chunks):
+    """Write the strings ``chunks`` yields to a temp file, then rename it to path."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
@@ -149,11 +151,10 @@ def export_fields(artifact, path: str, t_grid=None) -> list[str]:
         block[..., 2 + d + k] = g[..., a, b]
     if factor is not None:
         block[..., -1] = sample_metric(factor, t_grid, pts)
-    # format slice by slice: only one slice's rows exist as Python floats at once
-    chunks = [",".join(cols) + "\n"]
-    chunks += ["\n".join([row % tuple(r) for r in rows.tolist()]) + "\n" for rows in block]
+    # format and write slice by slice: only one slice's text exists at once
+    body = ("\n".join([row % tuple(r) for r in rows.tolist()]) + "\n" for rows in block)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    _atomic_write(path, "".join(chunks))
+    _atomic_write(path, itertools.chain([",".join(cols) + "\n"], body))
     return [path]
 
 
@@ -254,6 +255,22 @@ def _add_cert_checks(report: RunReport, certs: dict, prefix: str = ""):
             )
 
 
+def _certified_reference(pipeline: str, g: MetricField):
+    """The (j, g_0) against which ``build`` certifies cone containment for
+    the input metric g, or None for ``join_pair``, whose output on t <= 0 is
+    the time-reversed h half, which no certified reference covers.
+
+    theorem1 certifies against g's slice at 0; join_ultrastatic against the
+    slice at 0 of its half's input, freeze_past(normalize_conformal(g)).
+    """
+    if pipeline == "join_pair":
+        return None
+    if pipeline == "join_ultrastatic":
+        g = surgery.freeze_past(surgery.normalize_conformal(g))
+    g0 = g.spatial_slice(0.0)
+    return surgery.completeness_factor(g.domain, g0), g0
+
+
 def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
     """Execute the configured pipeline, write dumps and the report."""
     cap = _thread_cap()
@@ -275,9 +292,10 @@ def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunR
             )
 
         if config.pipeline == "theorem1":
+            j, g0 = _certified_reference(config.pipeline, g)
             with _Timer(report, "make_globally_hyperbolic"):
                 result = surgery.make_globally_hyperbolic(
-                    g,
+                    g, j=j, g0=g0,
                     already_gh_after=config.already_gh_after,
                     t_window=ver.t_window,
                     seed=ver.seed,
@@ -337,9 +355,9 @@ def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunR
                 )
 
         report_path = os.path.join(out_dir, "report.json")
-        _atomic_write(report_path, report.to_json())
+        _atomic_write(report_path, [report.to_json()])
         report.outputs.append(report_path)
-        _atomic_write(os.path.join(out_dir, "timings.json"), report.timings_json())
+        _atomic_write(os.path.join(out_dir, "timings.json"), [report.timings_json()])
         if not quiet:
             _print_report(report)
         return report
@@ -361,15 +379,24 @@ def run_verify(config: ScenarioConfig, dump_path: str, quiet: bool = False) -> R
             m = read_metric_dump(dump_path, config.domain)
         lo, hi = m.window
         with _Timer(report, "verify"):
-            g0 = m.spatial_slice(float(np.clip(0.0, lo, hi)))
+            g = build_metric(config.metric_g, config.domain, path="$.metric_g")
+            certified = _certified_reference(config.pipeline, g)
+            if certified is None:
+                # no certified reference covers a join-pair dump, so only GH
+                # runs, and it needs just some complete reference
+                ref = m.spatial_slice(float(np.clip(0.0, lo, hi)))
+                ref_id = "g_0 slice"
+            else:
+                ref = causality.reference_field(config.domain, *certified)
+                ref_id = "j*g0"
             gh = causality.verify_global_hyperbolicity(
-                m, g0, t_window=(lo, hi), ref_id="g_0 slice"
+                m, ref, t_window=(lo, hi), ref_id=ref_id
             )
             report.checks.append(("global_hyperbolicity", gh.passed, gh.detail))
-            if lo < 0 <= hi:
+            if certified is not None and lo < 0 <= hi:
                 start = float(max(lo, ver.curve_start))
                 containment = causality.verify_cone_containment(
-                    m, ScalarField.constant(1.0), g0,
+                    m, *certified,
                     n_samples=ver.samples, seed=ver.seed,
                     t_start_range=(start, start),
                     tol=ver.tolerance, step=ver.step,

@@ -17,7 +17,6 @@ from causal_surgery import (
     integrate_causal_curve,
     interpolate_ultrastatic,
     make_globally_hyperbolic,
-    max_coordinate_speed,
     time_shift,
     ultrastatic_metric,
     verify_cone_containment,
@@ -95,12 +94,6 @@ def test_ref_distance_row_alone_equals_row_in_batch(distance_refs, case, n, seed
     batch = ref_distance(domain, ref, x0, x1)
     alone = [ref_distance(domain, ref, x0[i], x1[i]) for i in range(n)]
     np.testing.assert_array_equal(np.array(alone), batch)
-
-
-def test_max_coordinate_speed_ultrastatic(circle, ultra_circle):
-    # g = 4 dx^2, ref = dx^2: speed = sqrt(1 * 1/4) = 1/2
-    v = max_coordinate_speed(ultra_circle, _identity_ref(circle), 0.0, np.array([0.0]))
-    assert v == pytest.approx(0.5)
 
 
 # -- curve integration -----------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI and runner: exit codes, CSV dumps, determinism, verify round-trip."""
 from __future__ import annotations
 
+import importlib.resources
 import json
 import os
 
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from causal_surgery import export_fields, load_config, read_metric_dump, run_build
-from causal_surgery.cli import main
+from causal_surgery.cli import _DEMO_FILES, main
 from causal_surgery.domain import SpatialDomain
 from causal_surgery.errors import FormatError
 from conftest import flrw_exp
@@ -79,10 +80,8 @@ def test_verify_failing_metric_exit_one(config_file, tmp_path):
 def test_verify_good_dump_exit_zero(config_file, tmp_path):
     out = str(tmp_path / "out")
     assert invoke("build", "--config", config_file, "--out", out, "--quiet").exit_code == 0
-    # tolerance widened to absorb cubic interpolation error of the dump
     res = invoke(
-        "verify", "--config", config_file, os.path.join(out, "metric.csv"),
-        "--samples", "8", "--tol", "0.01",
+        "verify", "--config", config_file, os.path.join(out, "metric.csv"), "--samples", "8"
     )
     assert res.exit_code == 0, res.output
 
@@ -93,6 +92,68 @@ def test_verify_garbage_dump_exit_two(config_file, tmp_path):
     res = invoke("verify", "--config", config_file, str(dump))
     assert res.exit_code == 2
     assert "header" in res.output
+
+
+# -- demo dumps ------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def demo_dumps(tmp_path_factory):
+    """Each demo built once at its default seed: name -> (config file, dump)."""
+    root = tmp_path_factory.mktemp("demos")
+    out = {}
+    for name, fname in _DEMO_FILES.items():
+        cfg = root / fname
+        cfg.write_bytes((importlib.resources.files("causal_surgery.demos") / fname).read_bytes())
+        assert run_build(load_config(str(cfg)), str(root / name), quiet=True).exit_code == 0
+        out[name] = (str(cfg), str(root / name / "metric.csv"))
+    return out
+
+
+@pytest.mark.parametrize("name", list(_DEMO_FILES))
+def test_demo_dump_reproduces_its_samples(demo_dumps, name):
+    """The grid metric read back from a dump equals every CSV value at its row."""
+    cfg, dump = demo_dumps[name]
+    domain = load_config(cfg).domain
+    d = domain.dimension
+    rows = np.loadtxt(dump, delimiter=",", skiprows=1)
+    lam, g = read_metric_dump(dump, domain).eval(rows[:, 0], rows[:, 1 : 1 + d], check=False)
+    np.testing.assert_allclose(lam, rows[:, 1 + d], rtol=1e-12, atol=0)
+    upper = [(a, b) for a in range(d) for b in range(a, d)]
+    for k, (a, b) in enumerate(upper):
+        np.testing.assert_allclose(g[:, a, b], rows[:, 2 + d + k], rtol=1e-12, atol=0)
+
+
+def test_verify_anisotropic_torus_dump_at_its_own_tolerance(demo_dumps):
+    cfg, dump = demo_dumps["anisotropic-torus"]
+    res = invoke("verify", "--config", cfg, dump)
+    assert res.exit_code == 0, res.output
+    assert "[PASS] anisotropic-torus: cone_containment" in res.output
+
+
+def test_verify_rejects_the_unstretched_dump(demo_dumps, tmp_path):
+    """Dividing a theorem-1 dump's spatial columns by its own f column undoes
+    the stretch; verify must fail it with a witness curve."""
+    cfg, dump = demo_dumps["anisotropic-torus"]
+    with open(dump) as fh:
+        header = fh.readline().strip()
+    rows = np.loadtxt(dump, delimiter=",", skiprows=1)
+    cols = header.split(",")
+    spatial = [k for k, c in enumerate(cols) if c.startswith("g")]
+    rows[:, spatial] /= rows[:, [cols.index("f")]]
+    raw = tmp_path / "unstretched.csv"
+    np.savetxt(raw, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    res = invoke("verify", "--config", cfg, str(raw))
+    assert res.exit_code == 1, res.output
+    assert "[FAIL] anisotropic-torus: cone_containment (curve (" in res.output
+
+
+def test_verify_join_pair_checks_global_hyperbolicity_only(demo_dumps):
+    cfg, dump = demo_dumps["join-pair"]
+    res = invoke("verify", "--config", cfg, dump)
+    assert res.exit_code == 0, res.output
+    assert "global_hyperbolicity" in res.output
+    assert "cone_containment" not in res.output
 
 
 def test_export_subcommand(config_file, tmp_path):

@@ -15,7 +15,6 @@ from causal_surgery import (
     SpatialDomain,
     SpdField,
     build_metric,
-    conformal_metric,
     freeze_past,
     grid_metric,
     integrate_causal_curve,
@@ -92,7 +91,6 @@ def test_stretch_and_conformal_equal_primitive_formula(seed):
     lam0, g0 = _base_fn(t, x)
     f = _factor(t, x)
     _assert_bits(stretch_metric(BASE, FACTOR), t, x, lam0, f[:, None, None] * g0)
-    _assert_bits(conformal_metric(BASE, FACTOR), t, x, f * lam0, f[:, None, None] * g0)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

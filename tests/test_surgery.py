@@ -209,13 +209,11 @@ def test_normalize_conformal_unit_lapse_in_past(circle):
     )
     n = normalize_conformal(m)
     t = np.linspace(-4, 0, 17)
-    lam = n.lapse_at(t, np.zeros((17, 1)))
+    lam, _ = n.eval(t, np.zeros((17, 1)))
     np.testing.assert_allclose(lam, 1.0, atol=5e-16)
     # untouched in the far future
     t = np.linspace(1, 3, 9)
-    np.testing.assert_array_equal(
-        n.lapse_at(t, np.zeros((9, 1))), m.lapse_at(t, np.zeros((9, 1)))
-    )
+    np.testing.assert_array_equal(n.eval(t, np.zeros((9, 1)))[0], m.eval(t, np.zeros((9, 1)))[0])
 
 
 def test_freeze_past_constant_before_zero(flrw_circle):
