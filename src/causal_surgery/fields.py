@@ -79,19 +79,14 @@ def as_batch(t, x, d: int):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Positive scalar over (t, x) with optional plateau annotations."""
+    """Positive scalar over (t, x)."""
 
     fn: Callable
-    plateaus: tuple[PlateauConstraint, ...] = ()
 
     @staticmethod
     def constant(value: float) -> "ScalarField":
         v = float(value)
-        return ScalarField(
-            fn=lambda t, x: np.full(np.shape(t), v),
-            plateaus=(PlateauConstraint(-_INF, _INF, CONSTANT_IN_T),)
-            + ((PlateauConstraint(-_INF, _INF, IDENTICALLY_ONE),) if v == 1.0 else ()),
-        )
+        return ScalarField(fn=lambda t, x: np.full(np.shape(t), v))
 
     @staticmethod
     def from_time_function(fn: Callable) -> "ScalarField":

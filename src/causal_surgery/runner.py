@@ -209,10 +209,13 @@ def read_metric_dump(path: str, domain: SpatialDomain) -> MetricField:
     bad_t = layout[:, :, 0] != t_grid[:, None]
     bad_t[:, 0] = False
     bad_x = np.abs(layout[:, :, 1 : 1 + d] - domain.grid_points()).max(axis=2) > 1e-12
-    bad = (bad_t | bad_x).ravel()[:n_parsed]
+    bad_v = ~np.isfinite(data).all(axis=1)
+    bad = (bad_t.ravel() | bad_x.ravel() | bad_v)[:n_parsed]
     if np.any(bad):
         k = int(np.argmax(bad))
         row = data[k]
+        if bad_v[k]:
+            raise FormatError(f"non-finite value in row {row.tolist()}", line=k + 2)
         if bad_t.flat[k]:
             raise FormatError(
                 f"time value {float(row[0])} breaks the t-outer row ordering", line=k + 2

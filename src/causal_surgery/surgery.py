@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.ndimage
 
 from . import causality
 from .domain import SpatialDomain
@@ -116,15 +115,18 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
 
     The value is max{1, lambda(t,x)} times the largest generalized eigenvalue
     of the pencil (j g_0, g_t), i.e. the supremum of (j g_0)(v,v) / g_t(v,v)
-    over directions v.
+    over directions v.  The reference j g_0 is the one every certificate uses
+    (``causality.reference_field``), evaluated once on the domain grid.
     """
+    ref = causality.reference_field(m.domain, j, g0)
+    grid = m.domain.grid_points()
+    ref_grid = np.asarray(ref.fn(grid), dtype=float)
 
     def fn(t, x):
         lam, g = m.eval(t, x, check=True)
-        jv = np.asarray(j.fn(t, x), dtype=float)
-        jv = np.broadcast_to(jv, t.shape)
-        ref = jv[:, None, None] * np.asarray(g0.fn(x), dtype=float)
-        return np.maximum(1.0, lam) * gen_max_eig_batch(g, ref)
+        on_grid = x.shape == grid.shape and np.array_equal(x, grid)
+        refv = ref_grid if on_grid else np.asarray(ref.fn(x), dtype=float)
+        return np.maximum(1.0, lam) * gen_max_eig_batch(g, refv)
 
     return ScalarField(fn=fn)
 
@@ -132,13 +134,15 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
 class _MajorantField:
     """Smooth majorant of a positive scalar field.
 
-    Node values on a time lattice of spacing ``h`` hold (1 + eps) times the
-    running maximum of the lower bound over the two adjacent slabs, sampled on
-    the spatial grid; between nodes the values are blended by the smooth unit
-    step, which has flat contact at the nodes.  Spatial dependence is carried
-    by periodic cubic interpolation of the node arrays.  Plateau constraints
-    are realized by exact overwrite: constant-in-t regions return their node
-    array directly, identically-one regions return 1.0.
+    Node values on a time lattice of spacing MAJORANT_NODE_SPACING hold
+    (1 + MAJORANT_EPS) times the maximum of the lower bound over the two
+    adjacent slabs, sampled on the spatial grid, at each grid point and its
+    wrapped neighbours.  A point blends the nodes at the corners of its
+    space-time cell with the smooth unit step along time and every spatial
+    axis, so every value is a convex combination of positive node values;
+    a node constant in space is one float and is never blended in space.
+    Plateau constraints are realized by exact overwrite: constant-in-t
+    regions return their node directly, identically-one regions return 1.0.
     """
 
     def __init__(
@@ -146,38 +150,32 @@ class _MajorantField:
         lower: ScalarField,
         domain: SpatialDomain,
         constraints: tuple[PlateauConstraint, ...],
-        h: float = MAJORANT_NODE_SPACING,
-        eps: float = MAJORANT_EPS,
-        n_sub: int = MAJORANT_SUBSAMPLES,
     ):
+        h = MAJORANT_NODE_SPACING
         self.lower = lower
         self.domain = domain
-        self.h = float(h)
-        self.eps = float(eps)
-        self.n_sub = int(n_sub)
         self.grid = domain.grid_points()
         self._slab_max: dict[int, np.ndarray] = {}
-        self._node: dict[int, np.ndarray] = {}
-        self._coef: dict[int, np.ndarray] = {}
+        self._nodes: dict[int, float | np.ndarray] = {}
+        self._rep: dict[int, float | np.ndarray] = {}
 
         # snapped plateau regions (inward for constant, outward for one)
         self.const_regions: list[tuple[float, float]] = []
         self.one_regions: list[tuple[float, float]] = []
         for c in constraints:
             if c.kind == CONSTANT_IN_T:
-                lo = -INF if c.t_lo == -INF else self.h * np.ceil(c.t_lo / self.h)
-                hi = INF if c.t_hi == INF else self.h * np.floor(c.t_hi / self.h)
+                lo = -INF if c.t_lo == -INF else h * np.ceil(c.t_lo / h)
+                hi = INF if c.t_hi == INF else h * np.floor(c.t_hi / h)
                 if lo >= hi:
                     raise ConstraintError(
                         f"constant-in-t interval [{c.t_lo}, {c.t_hi}] too narrow "
-                        f"for node spacing {self.h}"
+                        f"for node spacing {h}"
                     )
                 self.const_regions.append((lo, hi))
             else:
-                lo = -INF if c.t_lo == -INF else self.h * np.floor(c.t_lo / self.h)
-                hi = INF if c.t_hi == INF else self.h * np.ceil(c.t_hi / self.h)
+                lo = -INF if c.t_lo == -INF else h * np.floor(c.t_lo / h)
+                hi = INF if c.t_hi == INF else h * np.ceil(c.t_hi / h)
                 self.one_regions.append((lo, hi))
-        self._rep: dict[int, np.ndarray] = {}
 
     # -- node machinery ----------------------------------------------------
 
@@ -195,79 +193,81 @@ class _MajorantField:
     def _slab(self, k: int) -> np.ndarray:
         """Max of the lower bound over slab [k h, (k+1) h], sampled."""
         if k not in self._slab_max:
-            ts = self.h * (k + np.linspace(0.0, 1.0, self.n_sub))
+            ts = MAJORANT_NODE_SPACING * (k + np.linspace(0.0, 1.0, MAJORANT_SUBSAMPLES))
             self._slab_max[k] = self._lower_on_grid(ts).max(axis=0)
         return self._slab_max[k]
 
-    def _const_region_of_node(self, k: int) -> int | None:
-        t = k * self.h
-        for i, (lo, hi) in enumerate(self.const_regions):
-            if lo <= t <= hi:
-                return i
-        return None
+    def _node_value(self, v: np.ndarray) -> float | np.ndarray:
+        """(1 + eps) times the max of v over each grid point and its wrapped
+        neighbours (a 3^d stencil); one float when v is constant in space."""
+        if np.ptp(v) == 0.0:
+            return (1.0 + MAJORANT_EPS) * float(v[0])
+        a = v.reshape(self.domain.resolution)
+        for ax in range(a.ndim):
+            a = np.maximum(a, np.maximum(np.roll(a, 1, ax), np.roll(a, -1, ax)))
+        return (1.0 + MAJORANT_EPS) * a.ravel()
 
-    def _rep_value(self, i: int) -> np.ndarray:
-        """Shared node array for a constant-in-t region."""
+    def _rep_value(self, i: int) -> float | np.ndarray:
+        """Shared node for a constant-in-t region."""
         if i not in self._rep:
+            h = MAJORANT_NODE_SPACING
             lo, hi = self.const_regions[i]
             # lower is constant in t on the region: one interior sample row
             # plus the boundary slabs that the edge nodes must still cover
-            t0 = hi - self.h if lo == -INF else lo
+            t0 = hi - h if lo == -INF else lo
             vals = [self._lower_on_grid([t0])[0]]
             if lo != -INF:
-                vals.append(self._slab(int(round(lo / self.h)) - 1))
+                vals.append(self._slab(int(round(lo / h)) - 1))
             if hi != INF:
-                vals.append(self._slab(int(round(hi / self.h))))
-            self._rep[i] = (1.0 + self.eps) * np.stack(vals).max(axis=0)
+                vals.append(self._slab(int(round(hi / h))))
+            self._rep[i] = self._node_value(np.stack(vals).max(axis=0))
         return self._rep[i]
 
-    def node_values(self, k: int) -> np.ndarray:
-        if k not in self._node:
-            i = self._const_region_of_node(k)
+    def _node(self, k: int) -> float | np.ndarray:
+        if k not in self._nodes:
+            t = k * MAJORANT_NODE_SPACING
+            regions = enumerate(self.const_regions)
+            i = next((i for i, (lo, hi) in regions if lo <= t <= hi), None)
             if i is not None:
-                self._node[k] = self._rep_value(i)
+                self._nodes[k] = self._rep_value(i)
             else:
-                self._node[k] = (1.0 + self.eps) * np.maximum(
-                    self._slab(k - 1), self._slab(k)
-                )
-        return self._node[k]
+                self._nodes[k] = self._node_value(np.maximum(self._slab(k - 1), self._slab(k)))
+        return self._nodes[k]
 
-    def _interp_node(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Periodic cubic interpolation of a node array at points x (n, d)."""
-        if k not in self._coef:
-            vals = self.node_values(k)
-            if np.ptp(vals) == 0.0:
-                # spatially constant node: skip interpolation entirely
-                self._coef[k] = float(vals[0])
-            else:
-                arr = vals.reshape(self.domain.resolution)
-                self._coef[k] = scipy.ndimage.spline_filter(
-                    arr, order=3, mode="grid-wrap"
-                )
-        if isinstance(self._coef[k], float):
-            return np.full(x.shape[0], self._coef[k])
-        coords = [
-            x[:, ax] / (self.domain.circumferences[ax] / self.domain.resolution[ax])
-            for ax in range(self.domain.dimension)
-        ]
-        return scipy.ndimage.map_coordinates(
-            self._coef[k], coords, order=3, mode="grid-wrap", prefilter=False
-        )
+    def _in_space(self, x: np.ndarray, *nodes):
+        """Each node blended at the points x (n, d) from the corners of their
+        grid cells; the cell weights are computed only if a node varies."""
+        if all(isinstance(v, float) for v in nodes):
+            return nodes
+        res = self.domain.resolution
+        s = x / (np.asarray(self.domain.circumferences) / np.asarray(res))
+        i0 = np.floor(s)
+        th = smooth_unit_step(s - i0)
+        i0 = i0.astype(int)
+        idx = np.zeros((1, x.shape[0]), dtype=int)
+        w = np.ones((1, x.shape[0]))
+        for ax, n in enumerate(res):
+            lo = i0[:, ax] % n
+            idx = np.concatenate([idx * n + lo, idx * n + (lo + 1) % n])
+            w = np.concatenate([w * (1.0 - th[:, ax]), w * th[:, ax]])
+        return [v if isinstance(v, float) else (w * v[idx]).sum(axis=0) for v in nodes]
 
     # -- evaluation --------------------------------------------------------
 
     def _one_weight(self, t: np.ndarray) -> np.ndarray:
+        h = MAJORANT_NODE_SPACING
         w = np.zeros_like(t)
         for lo, hi in self.one_regions:
             wi = np.ones_like(t)
             if lo != -INF:
-                wi = wi * smooth_unit_step((t - (lo - self.h)) / self.h)
+                wi = wi * smooth_unit_step((t - (lo - h)) / h)
             if hi != INF:
-                wi = wi * smooth_unit_step(((hi + self.h) - t) / self.h)
+                wi = wi * smooth_unit_step(((hi + h) - t) / h)
             w = np.maximum(w, wi)
         return w
 
     def __call__(self, t, x):
+        h = MAJORANT_NODE_SPACING
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         out = np.empty_like(t)
@@ -283,8 +283,7 @@ class _MajorantField:
         for i, (lo, hi) in enumerate(self.const_regions):
             mask = (~done) & (t >= lo) & (t <= hi)
             if np.any(mask):
-                k_rep = int(round((hi if lo == -INF else lo) / self.h))
-                out[mask] = self._interp_node(k_rep, x[mask])
+                out[mask] = self._in_space(x[mask], self._rep_value(i))[0]
                 done[mask] = True
 
         # generic blend between adjacent nodes
@@ -292,14 +291,13 @@ class _MajorantField:
         if np.any(rest):
             tr = t[rest]
             xr = x[rest]
-            k = np.floor(tr / self.h).astype(int)
-            u = smooth_unit_step(tr / self.h - k)
+            k = np.floor(tr / h).astype(int)
+            u = smooth_unit_step(tr / h - k)
             v = np.empty_like(tr)
             for kk in np.unique(k):
                 mk = k == kk
-                v[mk] = (1.0 - u[mk]) * self._interp_node(int(kk), xr[mk]) + u[
-                    mk
-                ] * self._interp_node(int(kk) + 1, xr[mk])
+                a, b = self._in_space(xr[mk], self._node(int(kk)), self._node(int(kk) + 1))
+                v[mk] = (1.0 - u[mk]) * a + u[mk] * b
             # blend into identically-one plateaus
             wr = w[rest]
             ramp = wr > 0.0
@@ -313,13 +311,20 @@ def smooth_majorant(
     constraints,
     domain: SpatialDomain,
     t_window: tuple[float, float] | None = None,
-    h: float = MAJORANT_NODE_SPACING,
-    eps: float = MAJORANT_EPS,
 ) -> ScalarField:
-    """Smooth f >= lower satisfying the plateau constraints exactly.
+    """Smooth f > 0 with f >= lower at the sampled nodes, satisfying the
+    plateau constraints exactly.
 
-    Boundedness: f(t, x) <= 2 * sup{lower on [t-1, t+1] x N} + eps, because
-    every node value is (1 + eps) times a slab maximum within half a unit of t.
+    With h = MAJORANT_NODE_SPACING and eps = MAJORANT_EPS, for t in the time
+    slab [k h, (k+1) h] and x in a grid cell:
+    - f(t, x) >= (1 + eps) * lower at every sample of the slab at every
+      corner of the cell (off identically-one ramps, which only raise f
+      toward 1);
+    - 0 < f(t, x) <= max{1, (1 + eps) * M}, where M is the maximum of the
+      sampled lower bound over [t - 2h, t + 2h] at the grid points within
+      two cells of x per axis; a node inside a constant-in-t plateau adds
+      the plateau's sample row and edge slabs to M, and the 1 enters only
+      on identically-one plateaus and their ramps.
     Inconsistent constraints (or plateau overwrites that dip below the lower
     bound) raise ConstraintError naming the violating sample.
     """
@@ -328,8 +333,7 @@ def smooth_majorant(
         for b in constraints[i + 1 :]:
             if a.kind == b.kind and a.overlaps(b):
                 raise ConstraintError(f"overlapping plateau constraints {a} and {b}")
-    f = ScalarField(fn=_MajorantField(lower, domain, constraints, h=h, eps=eps),
-                    plateaus=constraints)
+    f = ScalarField(fn=_MajorantField(lower, domain, constraints))
     _recheck_majorant(f, lower, domain, t_window)
     return f
 
@@ -337,23 +341,24 @@ def smooth_majorant(
 def _recheck_majorant(f, lower, domain, t_window):
     """Post-hoc inequality check around plateau overwrites (and the window)."""
     maj = f.fn
+    h = MAJORANT_NODE_SPACING
     grid = domain.grid_points()
     spans: list[tuple[float, float]] = []
     for lo, hi in maj.one_regions:
         # blend ramps plus a finite stretch of the plateau (where f == 1,
         # so the check is really "lower <= 1 there")
-        span_lo = lo - maj.h if lo != -INF else (hi if hi != INF else 0.0) - 4.0
-        span_hi = hi + maj.h if hi != INF else (lo if lo != -INF else 0.0) + 4.0
+        span_lo = lo - h if lo != -INF else (hi if hi != INF else 0.0) - 4.0
+        span_hi = hi + h if hi != INF else (lo if lo != -INF else 0.0) + 4.0
         spans.append((span_lo, span_hi))
     for lo, hi in maj.const_regions:
         if lo != -INF:
-            spans.append((lo - maj.h, lo + maj.h))
+            spans.append((lo - h, lo + h))
         if hi != INF:
-            spans.append((hi - maj.h, hi + maj.h))
+            spans.append((hi - h, hi + h))
     if t_window is not None:
         spans.append((float(t_window[0]), float(t_window[1])))
     ts = np.concatenate([np.empty(0)] + [
-        np.linspace(lo, hi, max(9, int(np.ceil((hi - lo) / maj.h)) * 8 + 1))
+        np.linspace(lo, hi, max(9, int(np.ceil((hi - lo) / h)) * 8 + 1))
         for lo, hi in spans
         if np.isfinite(lo) and np.isfinite(hi) and hi > lo
     ])
@@ -386,12 +391,13 @@ def stretch_metric(m: MetricField, f: ScalarField) -> MetricField:
 
 
 def _constant_in_past(m: MetricField, upto: float = 0.0) -> bool:
-    """Detect lambda_s = lambda_u, g_s = g_u for s, u < upto (sampled)."""
+    """Detect lambda_s = lambda_u, g_s = g_u for s, u < upto, sampled at three
+    times on the full grid."""
     lo = m.window[0]
     probes = [upto - 2.0, upto - 1.0, upto - 0.25]
     if lo > probes[0]:
         return False
-    pts = m.domain.grid_points()[:: max(1, m.domain.n_points // 16)]
+    pts = m.domain.grid_points()
     lam, g = sample_metric(m, probes[:2], pts, check=False)
     scale = max(np.max(np.abs(g[0])), np.max(np.abs(lam[0])), 1.0)
 

@@ -227,6 +227,8 @@ def test_dump_reader_reports_line_numbers(tmp_path):
         ({7: "{t},0.5,1,1", 12: "0.5,0.1"}, "line 8: grid point"),
         ({20: "x,0,1,1", 30: "0.25,{x},1,1"}, "line 21: could not convert"),
         ({30: "0.25,{x},1,1", 20: "{t},{x},1"}, "line 21: expected at least 4 columns"),
+        ({12: "{t},{x},1,nan"}, "line 13: non-finite value"),
+        ({33: "{t},{x},1,inf", 35: "{t},{x},nan,1"}, "line 34: non-finite value"),
     ],
 )
 def test_dump_reader_names_the_defective_line(tmp_path, edits, message):
@@ -241,6 +243,19 @@ def test_dump_reader_names_the_defective_line(tmp_path, edits, message):
     broken.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=message):
         read_metric_dump(str(broken), domain)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_dump_exit_two(config_file, tmp_path, value):
+    dump = tmp_path / "m.csv"
+    export_fields(flrw_exp(SpatialDomain(1, (2 * np.pi,), (32,))), str(dump),
+                  t_grid=np.linspace(-3, 3, 25))
+    lines = dump.read_text().splitlines()
+    lines[40] = ",".join(lines[40].split(",")[:3] + [value])  # the g11 cell
+    dump.write_text("\n".join(lines) + "\n")
+    res = invoke("verify", "--config", config_file, str(dump), "--samples", "8")
+    assert res.exit_code == 2, res.output
+    assert "line 41: non-finite value" in res.output
 
 
 def test_dump_reader_rejects_truncation(tmp_path):

@@ -76,13 +76,11 @@ def test_as_batch_shapes():
 # -- scalar and SPD fields -------------------------------------------------
 
 
-def test_scalar_field_constant_and_plateaus():
+def test_scalar_field_constant():
     one = ScalarField.constant(1.0)
     assert one(3.7, 0.2) == 1.0
-    kinds = {p.kind for p in one.plateaus}
-    assert "identically-one" in kinds and "constant-in-t" in kinds
     two = ScalarField.constant(2.0)
-    assert all(p.kind != "identically-one" for p in two.plateaus)
+    np.testing.assert_array_equal(two(np.array([-1.0, 4.0]), np.zeros((2, 1))), [2.0, 2.0])
 
 
 def test_scalar_field_batched_call(circle):

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causal_surgery import (
+    MetricField,
     ScalarField,
+    SpatialDomain,
     SpdField,
     asymptotic_join,
     completeness_factor,
@@ -35,6 +39,12 @@ from causal_surgery.fields import (
     IDENTICALLY_ONE,
     PlateauConstraint,
     warped_product,
+)
+from causal_surgery.surgery import (
+    MAJORANT_EPS,
+    MAJORANT_NODE_SPACING,
+    MAJORANT_SUBSAMPLES,
+    cone_inequality_report,
 )
 from conftest import flrw_exp
 
@@ -148,6 +158,91 @@ def test_majorant_spatially_varying_lower(circle):
     t = rng.uniform(-2, 2, 300)
     x = rng.uniform(0, 2 * np.pi, (300, 1))
     assert np.all(f(t, x) >= lower(t, x) * (1 - 1e-9))
+
+
+def _bump_lower(domain, base, amp, width, centre, in_time):
+    """base + amp * (periodic Gaussian bump of the given width at centre),
+    the bump scaled by tanh(t)^2 when ``in_time``."""
+
+    def fn(t, x):
+        dx = domain.min_image(x - np.asarray(centre))
+        bump = np.exp(-np.sum((dx / width) ** 2, axis=1))
+        return base + amp * bump * (np.tanh(t) ** 2 if in_time else 1.0)
+
+    return ScalarField(fn=fn)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from([1, 2]),
+    n=st.sampled_from([8, 16, 24]),
+    base=st.floats(0.05, 2.0),
+    amp=st.floats(0.0, 40.0),
+    width=st.floats(0.02, 2.0),
+    centre=st.floats(0.0, 1.0),
+    in_time=st.booleans(),
+)
+@example(d=1, n=16, base=1.0, amp=19.0, width=0.03, centre=0.03, in_time=False)
+def test_majorant_is_a_positive_bounded_cell_majorant(d, n, base, amp, width, centre, in_time):
+    """Off the grid, 0 < f <= (1 + eps) * the largest lower-bound sample, and
+    f at a slab sample time is at least the lower bound at every corner of
+    the point's grid cell at that time, however narrow the bump."""
+    domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (n,) * d)
+    L = np.asarray(domain.circumferences)
+    lower = _bump_lower(domain, base, amp, width, centre * L, in_time)
+    f = smooth_majorant(lower, (), domain, t_window=(-1.0, 1.0))
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, (2000, d)) * L
+    t = rng.uniform(-1.0, 1.0, 2000)
+    fv = f(t, x, domain)
+    # t in [-1, 1) reads the nodes -2..2, which sample the slabs -3..2
+    h = MAJORANT_NODE_SPACING
+    ts = np.concatenate([h * (k + np.linspace(0.0, 1.0, MAJORANT_SUBSAMPLES))
+                         for k in range(-3, 3)])
+    grid = domain.grid_points()
+    top = max(lower(np.full(grid.shape[0], tk), grid, domain).max() for tk in ts)
+    assert np.all(fv > 0.0)
+    assert np.all(fv <= (1.0 + MAJORANT_EPS) * top * (1.0 + 1e-12))
+    # snap the times to slab samples and compare with the cell corners
+    ts_sample = np.round(t * 64.0) / 64.0
+    fv = f(ts_sample, x, domain)
+    i0 = np.floor(x / (L / n)).astype(int)
+    for corner in np.ndindex(*(2,) * d):
+        cx = ((i0 + np.asarray(corner)) % n) * (L / n)
+        assert np.all(fv >= lower(ts_sample, cx, domain) * (1.0 - 1e-12))
+
+
+def _probe_metric(n):
+    """g11 = 1 - 0.95 exp(-((x - 0.2)/0.03)^2) tanh(t)^2 with unit lapse: a dip
+    far narrower than a grid cell at 16 and 64 cells of the circle 2 pi."""
+    domain = SpatialDomain(1, (2 * np.pi,), (n,))
+
+    def fn(t, x):
+        bump = np.exp(-(((x[:, 0] - 0.2) / 0.03) ** 2))
+        return np.ones_like(t), (1.0 - 0.95 * bump * np.tanh(t) ** 2)[:, None, None]
+
+    return MetricField(domain, fn)
+
+
+def test_probe_metric_builds_with_a_positive_factor():
+    # the dip is narrower than a grid cell: only a comparison of the whole
+    # grid sees that the metric is not constant in the past
+    result = make_globally_hyperbolic(_probe_metric(64), verify=False)
+    rng = np.random.default_rng(1)
+    t = rng.uniform(-3.0, 3.0, 5000)
+    x = rng.uniform(0.0, 2 * np.pi, (5000, 1))
+    assert np.all(result.factor(t, x) > 0.0)
+
+
+def test_weakened_majorant_fails_the_cone_inequality():
+    m = _probe_metric(16)
+    result = make_globally_hyperbolic(m, verify=False)
+    window = (-3.0, 3.0)
+    assert cone_inequality_report(result.metric, result.j, result.g0, window).passed
+    weak = ScalarField(fn=lambda t, x: 0.9 * result.factor.fn(t, x))
+    report = cone_inequality_report(stretch_metric(m, weak), result.j, result.g0, window)
+    assert not report.passed
+    assert "cone inequality violated" in report.detail
 
 
 # -- stretch ---------------------------------------------------------------

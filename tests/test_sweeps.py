@@ -190,7 +190,8 @@ def _sweeps(tmp_path):
         ),
         "majorant_slab": (
             lambda: maj._slab(1),
-            [(flrw, list(maj.h * (1 + np.linspace(0.0, 1.0, maj.n_sub))))],
+            [(flrw, list(surgery.MAJORANT_NODE_SPACING
+                          * (1 + np.linspace(0.0, 1.0, surgery.MAJORANT_SUBSAMPLES))))],
         ),
     }
 
