@@ -2,9 +2,10 @@
 
 For SPD A and symmetric B, the largest mu with det(B - mu A) = 0 equals
 sup_{v != 0} B(v,v) / A(v,v); this realizes the supremum-over-directions step
-used by the cone-bounding inequality.  The scalar entry point delegates to
-scipy; the batched versions use closed forms for d in {1, 2}, which is all the
-torus domains have, and reject any other d.
+used by the cone-bounding inequality.  The smallest eigenvalue of a symmetric
+form is what the cone-inequality certificate checks.  The scalar entry point
+delegates to scipy; the batched versions use closed forms for d in {1, 2},
+which is all the torus domains have, and reject any other d.
 """
 from __future__ import annotations
 
@@ -53,6 +54,20 @@ def gen_max_eig_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         return 0.5 * (tr + disc)
     raise ShapeError(f"batched pencils need d in {{1, 2}}, got d = {d}")
+
+
+def sym_min_eig_batch(S: np.ndarray) -> np.ndarray:
+    """Batched smallest eigenvalue of symmetric (..., d, d) stacks, d in {1, 2},
+    in closed form; like ``np.linalg.eigvalsh`` it reads the lower triangle.
+    Any other d raises ShapeError."""
+    S = np.asarray(S, dtype=float)
+    d = S.shape[-1]
+    if d == 1:
+        return S[..., 0, 0].copy()
+    if d == 2:
+        a, b, c = S[..., 0, 0], S[..., 1, 0], S[..., 1, 1]
+        return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    raise ShapeError(f"batched symmetric eigenvalues need d in {{1, 2}}, got d = {d}")
 
 
 def gen_max_eig_direction(A: np.ndarray, B: np.ndarray) -> np.ndarray:

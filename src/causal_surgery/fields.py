@@ -8,7 +8,10 @@ once.  Closed-form fields evaluate exactly; a grid-backed metric
 interpolates its samples with one cubic tensor-product spline, periodic in
 the spatial axes, fitted exactly by one banded 1-D solve per axis for the
 lapse and every spatial component together, so one metric evaluation is one
-spline call.  All field objects are immutable; evaluation is pure.
+spline call.  A lattice slice of a grid metric (its whole domain grid at one
+time) is one contraction of the time axis plus one banded basis product per
+spatial axis, from the same coefficients.  All field objects are immutable;
+evaluation is pure.
 
 Every certificate that checks a field on a time x space lattice samples it
 with ``sample_metric(m, t_grid, pts=None, check=True)``: one evaluation per
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
+from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
 
 from .domain import SpatialDomain, is_spd_batch
 from .errors import DataError, DomainError, ShapeError
@@ -87,10 +90,6 @@ class ScalarField:
     def constant(value: float) -> "ScalarField":
         v = float(value)
         return ScalarField(fn=lambda t, x: np.full(np.shape(t), v))
-
-    @staticmethod
-    def from_time_function(fn: Callable) -> "ScalarField":
-        return ScalarField(fn=lambda t, x: np.asarray(fn(np.asarray(t, float)), float))
 
     def __call__(self, t, x, domain: SpatialDomain | None = None):
         xa = np.asarray(x, dtype=float)
@@ -281,10 +280,34 @@ class _GridSpline:
             knots.append(spl.t)
             coef = np.moveaxis(spl.c, 0, ax)
         self._spline = NdBSpline(tuple(knots), coef, 3)
+        self._grid = domain.grid_points()
+        # the basis of each spatial axis at its grid coordinates: banded,
+        # four nonzeros per row
+        self._grid_basis = [
+            BSpline.design_matrix(domain.axis_coords(ax), knots[ax + 1], 3)
+            for ax in range(d)
+        ]
 
     def __call__(self, t: np.ndarray, x: np.ndarray):
-        out = self._spline(np.column_stack([t, self.domain.wrap(x)]))
+        if (x.shape == self._grid.shape and np.all(t == t[0])
+                and np.array_equal(x, self._grid)):
+            out = self._grid_slice(float(t[0]))
+        else:
+            out = self._spline(np.column_stack([t, self.domain.wrap(x)]))
         return out[:, 0], out[:, 1:][:, self._sym]
+
+    def _grid_slice(self, t: float) -> np.ndarray:
+        """The spline on the whole domain grid at one time t, (n, components):
+        the time axis contracted with one basis row, then one banded basis
+        product per spatial axis, from the coefficients the point path uses."""
+        c = self._spline.c
+        row = BSpline.design_matrix(np.array([t]), self._spline.t[0], 3, extrapolate=True)
+        c = (row @ c.reshape(c.shape[0], -1)).reshape(c.shape[1:])
+        for ax, basis in enumerate(self._grid_basis):
+            c = np.moveaxis(c, ax, 0)
+            rest = c.shape[1:]
+            c = np.moveaxis((basis @ c.reshape(c.shape[0], -1)).reshape((-1,) + rest), 0, ax)
+        return c.reshape(self._grid.shape[0], -1)
 
 
 def sample_metric(m, t_grid, pts=None, check: bool = True):

@@ -5,7 +5,9 @@ import datetime
 import itertools
 import json
 import os
+import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +34,8 @@ def _thread_cap():
     try:
         n = max(1, int(raw))
     except ValueError:
+        print(f"warning: ignoring CAUSAL_SURGERY_THREADS={raw!r}: not an integer",
+              file=sys.stderr)
         return None
     try:
         from threadpoolctl import threadpool_limits
@@ -141,30 +145,50 @@ def export_fields(artifact, path: str, t_grid=None) -> list[str]:
     cols += [f"g{a+1}{b+1}" for a, b in upper]
     if factor is not None:
         cols.append("f")
-    row = ",".join(["%.17g"] * len(cols))
     lam, g = sample_metric(metric, t_grid, pts, check=False)
-    block = np.empty(lam.shape + (len(cols),))  # (t, grid point, column)
-    block[..., 0] = t_grid[:, None]
-    block[..., 1 : 1 + d] = pts
-    block[..., 1 + d] = lam
+    block = np.empty(lam.shape + (len(cols) - 1 - d,))  # (t, grid point, value column)
+    block[..., 0] = lam
     for k, (a, b) in enumerate(upper):
-        block[..., 2 + d + k] = g[..., a, b]
+        block[..., 1 + k] = g[..., a, b]
     if factor is not None:
         block[..., -1] = sample_metric(factor, t_grid, pts)
-    # format and write slice by slice: only one slice's text exists at once
-    body = ("\n".join([row % tuple(r) for r in rows.tolist()]) + "\n" for rows in block)
+    # the t and x columns repeat from slice to slice: the grid coordinates
+    # are formatted once into a template of all rows (T stands for the time),
+    # so each slice is one % operation, written before the next is formatted
+    values = ",%.17g" * block.shape[-1] + "\n"
+    rows = "".join(["T" + "".join([",%.17g" % c for c in p]) + values for p in pts.tolist()])
+    body = (rows.replace("T", "%.17g" % t) % tuple(v.ravel().tolist())
+            for t, v in zip(t_grid.tolist(), block))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     _atomic_write(path, itertools.chain([",".join(cols) + "\n"], body))
     return [path]
+
+
+def _parse_bulk(rows: list[str], n_cols: int) -> np.ndarray | None:
+    """The first n_cols fields of every row as floats, (len(rows), n_cols),
+    parsed by one np.loadtxt call; None if it fails or drops a blank row.
+    It accepts the same fields as float(), apart from U+001F padding."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            data = np.loadtxt(rows, delimiter=",", usecols=range(n_cols), comments=None,
+                              ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(rows), n_cols) else None
 
 
 def read_metric_dump(path: str, domain: SpatialDomain) -> MetricField:
     """Rebuild an interpolating metric from a CSV dump written by export_fields."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as e:
         raise FormatError(f"cannot read dump {path}: {e}")
+    # np.loadtxt strips U+001F around a number, which float() rejects
+    bulk = "\x1f" not in text
+    lines = text.splitlines()
+    del text
     if not lines:
         raise FormatError("empty dump file", line=1)
     d = domain.dimension
@@ -187,20 +211,23 @@ def read_metric_dump(path: str, domain: SpatialDomain) -> MetricField:
         raise FormatError("grid interpolation needs at least 4 time samples", line=len(lines))
     n_cols = len(expected)
     n_spatial = d * (d + 1) // 2
-    data = np.zeros((n_data, n_cols))
     n_parsed, parse_error = n_data, None
-    for k, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) < n_cols:
-            n_parsed, parse_error = k, FormatError(
-                f"expected at least {n_cols} columns, got {len(parts)}", line=k + 2
-            )
-            break
-        try:
-            data[k] = [float(p) for p in parts[:n_cols]]
-        except ValueError as e:
-            n_parsed, parse_error = k, FormatError(str(e), line=k + 2)
-            break
+    data = _parse_bulk(lines[1:], n_cols) if bulk else None
+    if data is None:
+        # line by line, which names the earliest defective line
+        data = np.zeros((n_data, n_cols))
+        for k, line in enumerate(lines[1:]):
+            parts = line.split(",")
+            if len(parts) < n_cols:
+                n_parsed, parse_error = k, FormatError(
+                    f"expected at least {n_cols} columns, got {len(parts)}", line=k + 2
+                )
+                break
+            try:
+                data[k] = [float(p) for p in parts[:n_cols]]
+            except ValueError as e:
+                n_parsed, parse_error = k, FormatError(str(e), line=k + 2)
+                break
     del lines  # free the text before the spline fit
     # Layout checks cover the rows parsed before any parse error, so the
     # earliest defective line is the one reported.

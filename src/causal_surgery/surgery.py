@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import causality
 from .domain import SpatialDomain
-from .eigen import gen_max_eig_batch
+from .eigen import gen_max_eig_batch, sym_min_eig_batch
 from .errors import (
     CausalSurgeryError,
     CertificateError,
@@ -236,9 +237,21 @@ class _MajorantField:
 
     def _in_space(self, x: np.ndarray, *nodes):
         """Each node blended at the points x (n, d) from the corners of their
-        grid cells; the cell weights are computed only if a node varies."""
+        grid cells; the cell weights are computed only if a node varies, and
+        on the domain grid only once."""
         if all(isinstance(v, float) for v in nodes):
             return nodes
+        on_grid = x.shape == self.grid.shape and np.array_equal(x, self.grid)
+        idx, w = self._grid_cells if on_grid else self._cells(x)
+        return [v if isinstance(v, float) else (w * v[idx]).sum(axis=0) for v in nodes]
+
+    @cached_property
+    def _grid_cells(self):
+        return self._cells(self.grid)
+
+    def _cells(self, x: np.ndarray):
+        """Flat node indices (2^d, n) of the corners of each point's grid
+        cell, and their smooth-step weights."""
         res = self.domain.resolution
         s = x / (np.asarray(self.domain.circumferences) / np.asarray(res))
         i0 = np.floor(s)
@@ -250,7 +263,7 @@ class _MajorantField:
             lo = i0[:, ax] % n
             idx = np.concatenate([idx * n + lo, idx * n + (lo + 1) % n])
             w = np.concatenate([w * (1.0 - th[:, ax]), w * th[:, ax]])
-        return [v if isinstance(v, float) else (w * v[idx]).sum(axis=0) for v in nodes]
+        return idx, w
 
     # -- evaluation --------------------------------------------------------
 
@@ -484,7 +497,7 @@ def cone_inequality_report(
     lam, g = sample_metric(stretched, ts, pts, check=False)
     scale = float(np.max(np.abs(g)))
     g -= np.maximum(1.0, lam)[..., None, None] * refv
-    ev = np.linalg.eigvalsh(g)[..., 0]
+    ev = sym_min_eig_batch(g)
     k, i = np.unravel_index(np.argmin(ev), ev.shape)
     worst = float(ev[k, i])
     passed = worst >= -tol * max(scale, 1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from causal_surgery import export_fields, load_config, read_metric_dump, run_bui
 from causal_surgery.cli import _DEMO_FILES, main
 from causal_surgery.domain import SpatialDomain
 from causal_surgery.errors import FormatError
+from causal_surgery.runner import _parse_bulk
 from conftest import flrw_exp
 
 CONFIG = {
@@ -269,6 +271,57 @@ def test_dump_reader_rejects_truncation(tmp_path):
         read_metric_dump(str(trunc), domain)
 
 
+@pytest.mark.parametrize("name", list(_DEMO_FILES))
+def test_dump_bulk_parse_equals_the_line_loop(demo_dumps, name):
+    """The one-call parse of a demo dump is the per-line float() parse, bit
+    for bit (the theorem-1 dumps carry an extra f column, not parsed)."""
+    cfg, dump = demo_dumps[name]
+    d = load_config(cfg).domain.dimension
+    n_cols = 2 + d + d * (d + 1) // 2
+    rows = open(dump).read().splitlines()[1:]
+    loop = np.array([[float(p) for p in row.split(",")[:n_cols]] for row in rows])
+    bulk = _parse_bulk(rows, n_cols)
+    assert bulk is not None
+    np.testing.assert_array_equal(bulk, loop)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 21: expected at least 4 columns, got 1"),  # a blank line
+        ("{t},{x},1,1 # note", "line 21: could not convert string to float: '1 # note'"),
+        ("{t},{x},1,{g},", None),  # a trailing comma
+        ("{t},{x},1,{g},7,junk", None),  # extra columns
+        (" {t} ,\t{x}\t, 1 ,{g}  ", None),  # padded fields
+        ("{t},{x},1,1_0", None),  # float() reads 10
+        ("{t},{x},1,\u0661", None),  # an Arabic-Indic digit one
+        ("{t},{x},1,1\x1f", "line 21: could not convert string to float: '1\\x1f'"),
+    ],
+    ids=["blank", "hash", "trailing-comma", "extra-columns", "padded", "underscore",
+         "non-ascii-digit", "unit-separator"],
+)
+def test_dump_reader_accepts_what_float_accepts(tmp_path, text, message):
+    """Each edited line gets float()'s verdict: rejected lines are named, and
+    an accepted line reads as if its fields were written canonically."""
+    domain = SpatialDomain(1, (2 * np.pi,), (32,))
+    dump = str(tmp_path / "m.csv")
+    export_fields(flrw_exp(domain), dump, t_grid=np.linspace(-1, 1, 5))
+    lines = open(dump).read().splitlines()
+    t, x, _, g = lines[20].split(",")
+    lines[20] = text.format(t=t, x=x, g=g)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if message is not None:
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_metric_dump(str(edited), domain)
+        return
+    lines[20] = ",".join("%.17g" % float(p) for p in lines[20].split(",")[:4])
+    canonical = tmp_path / "canonical.csv"
+    canonical.write_text("\n".join(lines) + "\n")
+    a = read_metric_dump(str(edited), domain).fn._spline.c
+    np.testing.assert_array_equal(a, read_metric_dump(str(canonical), domain).fn._spline.c)
+
+
 # -- determinism -----------------------------------------------------------
 
 
@@ -305,3 +358,10 @@ def test_threads_env_var_is_accepted(config_file, tmp_path, monkeypatch):
     monkeypatch.setenv("CAUSAL_SURGERY_THREADS", "1")
     res = invoke("build", "--config", config_file, "--out", str(tmp_path / "t"), "--quiet")
     assert res.exit_code == 0
+
+
+def test_invalid_threads_env_var_warns(config_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("CAUSAL_SURGERY_THREADS", "abc")
+    res = invoke("build", "--config", config_file, "--out", str(tmp_path / "t"), "--quiet")
+    assert res.exit_code == 0
+    assert res.stderr == "warning: ignoring CAUSAL_SURGERY_THREADS='abc': not an integer\n"

@@ -7,7 +7,7 @@ import pytest
 
 from causal_surgery import spd_generalized_max_eigenvalue
 from causal_surgery.domain import is_spd_batch
-from causal_surgery.eigen import gen_max_eig_batch, gen_max_eig_direction
+from causal_surgery.eigen import gen_max_eig_batch, gen_max_eig_direction, sym_min_eig_batch
 from causal_surgery.errors import DomainError, ShapeError
 
 
@@ -88,6 +88,30 @@ def test_batch_d1():
     np.testing.assert_allclose(gen_max_eig_batch(A, B), [3.0, 0.25])
 
 
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "near-degenerate"])
+def test_sym_min_eig_matches_eigvalsh(kind):
+    rng = np.random.default_rng(["spd", "indefinite", "near-degenerate"].index(kind))
+    n = 2000
+    scale = 10.0 ** rng.uniform(-6, 6, n)
+    if kind == "spd":
+        S = np.stack([_random_spd(rng, 2) for _ in range(n)])
+    elif kind == "indefinite":
+        S = rng.standard_normal((n, 2, 2))
+        S = S + np.swapaxes(S, 1, 2)
+    else:
+        # nearly equal eigenvalues, and nearly singular forms
+        a = rng.standard_normal(n)
+        S = a[:, None, None] * np.eye(2) + 1e-9 * rng.standard_normal((n, 2, 2))
+        v = rng.standard_normal((n // 2, 2))
+        S[: n // 2] = v[:, :, None] * v[:, None, :]
+        S = S + np.swapaxes(S, 1, 2)
+    S = scale[:, None, None] * S
+    ref = np.linalg.eigvalsh(S)[:, 0]
+    tol = 1e-12 * np.abs(S).max(axis=(1, 2))
+    assert np.all(np.abs(sym_min_eig_batch(S) - ref) <= tol)
+    np.testing.assert_array_equal(sym_min_eig_batch(S[:, :1, :1]), S[:, 0, 0])
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_direction_achieves_maximum(seed):
     rng = np.random.default_rng(200 + seed)
@@ -114,3 +138,5 @@ def test_batch_kernels_reject_dimensions_other_than_one_or_two(d):
         gen_max_eig_direction(A, A)
     with pytest.raises(ShapeError):
         is_spd_batch(A)
+    with pytest.raises(ShapeError):
+        sym_min_eig_batch(A)

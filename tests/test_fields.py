@@ -84,7 +84,7 @@ def test_scalar_field_constant():
 
 
 def test_scalar_field_batched_call(circle):
-    f = ScalarField.from_time_function(lambda t: np.exp(t))
+    f = ScalarField(fn=lambda t, x: np.exp(t))
     t = np.array([0.0, 1.0, 2.0])
     x = np.zeros((3, 1))
     np.testing.assert_allclose(f(t, x), np.exp(t))
@@ -290,6 +290,57 @@ def test_grid_metric_nan_rows_stay_local(dim):
     lam_keep, g_keep = gm.fn(t[keep], x[keep])
     np.testing.assert_array_equal(lam[keep], lam_keep)
     np.testing.assert_array_equal(g[keep], g_keep)
+
+
+def _slice_domain(dim):
+    return (SpatialDomain(1, (2 * np.pi,), (32,)) if dim == 1
+            else SpatialDomain(2, (2 * np.pi, 4.0), (16, 12)))
+
+
+def _point_path(spline, t, x):
+    """The grid spline's general path: one NdBSpline call at the points."""
+    out = spline._spline(np.column_stack([t, spline.domain.wrap(x)]))
+    return out[:, 0], out[:, 1:][:, spline._sym]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_metric_on_grid_slice_matches_point_path(dim):
+    domain = _slice_domain(dim)
+    t_grid, _, _, gm = _random_grid_metric(domain, np.random.default_rng(20 + dim))
+    spline, grid = gm.fn, domain.grid_points()
+    n = grid.shape[0]
+    # time nodes, between nodes and both window ends
+    for t in [t_grid[0], t_grid[2], 0.5 * (t_grid[3] + t_grid[4]), 0.123, t_grid[-1]]:
+        tb = np.full(n, t)
+        lam, g = spline(tb, grid)
+        # the call on the grid at one time is the per-axis slice
+        out = spline._grid_slice(t)
+        np.testing.assert_array_equal(lam, out[:, 0])
+        np.testing.assert_array_equal(g, out[:, 1:][:, spline._sym])
+        lam_p, g_p = _point_path(spline, tb, grid)
+        assert np.max(np.abs(lam - lam_p)) <= 1e-13 * np.max(np.abs(lam_p))
+        for a in range(dim):
+            for b in range(dim):
+                scale = np.max(np.abs(g_p[:, a, b]))
+                assert np.max(np.abs(g[:, a, b] - g_p[:, a, b])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_metric_other_batches_take_the_point_path(dim, monkeypatch):
+    domain = _slice_domain(dim)
+    rng = np.random.default_rng(30 + dim)
+    _, _, _, gm = _random_grid_metric(domain, rng)
+    spline, grid = gm.fn, domain.grid_points()
+    n = grid.shape[0]
+    monkeypatch.setattr(spline, "_grid_slice", lambda t: pytest.fail("took the grid slice"))
+    mixed = np.full(n, 0.3)
+    mixed[-1] = 0.31
+    # times that are not all equal, and the grid's rows permuted
+    for t, x in ((mixed, grid), (np.full(n, 0.3), grid[rng.permutation(n)])):
+        lam, g = spline(t, x)
+        lam_p, g_p = _point_path(spline, t, x)
+        np.testing.assert_array_equal(lam, lam_p)
+        np.testing.assert_array_equal(g, g_p)
 
 
 def test_max_metric_deviation(circle):

@@ -88,7 +88,7 @@ def test_cone_bound_factor_respects_lapse(circle):
 
 
 def test_majorant_dominates_lower_bound(circle):
-    lower = ScalarField.from_time_function(lambda t: np.exp(-2 * t))
+    lower = ScalarField(fn=lambda t, x: np.exp(-2 * t))
     f = smooth_majorant(lower, (), circle, t_window=(-3, 3))
     t = np.linspace(-3, 3, 301)
     x = np.zeros((301, 1))
@@ -96,7 +96,7 @@ def test_majorant_dominates_lower_bound(circle):
 
 
 def test_majorant_is_locally_bounded(circle):
-    lower = ScalarField.from_time_function(lambda t: np.exp(-2 * t))
+    lower = ScalarField(fn=lambda t, x: np.exp(-2 * t))
     f = smooth_majorant(lower, (), circle, t_window=(-3, 3))
     t = np.linspace(-3, 3, 301)
     vals = f(t, np.zeros((301, 1)))
@@ -105,9 +105,7 @@ def test_majorant_is_locally_bounded(circle):
 
 
 def test_majorant_identically_one_plateau_is_exact(circle):
-    lower = ScalarField.from_time_function(
-        lambda t: np.minimum(np.exp(-2 * t), 1.0) * 0.5
-    )
+    lower = ScalarField(fn=lambda t, x: np.minimum(np.exp(-2 * t), 1.0) * 0.5)
     f = smooth_majorant(
         lower, (PlateauConstraint(1.0, INF, IDENTICALLY_ONE),), circle, t_window=(-3, 3)
     )
@@ -119,7 +117,7 @@ def test_majorant_identically_one_plateau_is_exact(circle):
 
 
 def test_majorant_constant_in_t_plateau_is_exact(circle):
-    lower = ScalarField.from_time_function(lambda t: np.exp(2 * np.minimum(t, 0.0)))
+    lower = ScalarField(fn=lambda t, x: np.exp(2 * np.minimum(t, 0.0)))
     f = smooth_majorant(
         lower, (PlateauConstraint(-INF, 0.0, CONSTANT_IN_T),), circle, t_window=(-3, 3)
     )
@@ -131,7 +129,7 @@ def test_majorant_constant_in_t_plateau_is_exact(circle):
 
 def test_majorant_rejects_impossible_one_plateau(circle):
     # lower bound exceeds 1 where the factor is pinned to 1
-    lower = ScalarField.from_time_function(lambda t: np.full(np.shape(t), 7.0))
+    lower = ScalarField(fn=lambda t, x: np.full(np.shape(t), 7.0))
     with pytest.raises(ConstraintError):
         smooth_majorant(
             lower, (PlateauConstraint(0.0, INF, IDENTICALLY_ONE),), circle,
@@ -212,6 +210,27 @@ def test_majorant_is_a_positive_bounded_cell_majorant(d, n, base, amp, width, ce
         assert np.all(fv >= lower(ts_sample, cx, domain) * (1.0 - 1e-12))
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_majorant_grid_weights_are_reused_bit_exactly(d):
+    """On the domain grid the majorant reuses the cell weights it computed
+    once; its values equal those at the permuted grid, un-permuted."""
+    domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (16,) * d)
+    lower = _bump_lower(domain, 0.5, 3.0, 0.4, np.full(d, 1.0), False)
+    constraints = (PlateauConstraint(-INF, -1.0, CONSTANT_IN_T),)
+    f = smooth_majorant(lower, constraints, domain, t_window=(-3.0, 3.0))
+    grid = domain.grid_points()
+    n = grid.shape[0]
+    perm = np.random.default_rng(d).permutation(n)
+    back = np.argsort(perm)
+    # the constant-in-t plateau, a node time, and between nodes
+    for t in (-2.0, 0.5, 0.8):
+        on_grid = f.fn(np.full(n, t), grid)
+        assert "_grid_cells" in vars(f.fn)
+        permuted = f.fn(np.full(n, t), grid[perm])
+        np.testing.assert_array_equal(permuted[back], on_grid)
+        assert np.ptp(on_grid) > 0.0  # the nodes vary in space
+
+
 def _probe_metric(n):
     """g11 = 1 - 0.95 exp(-((x - 0.2)/0.03)^2) tanh(t)^2 with unit lapse: a dip
     far narrower than a grid cell at 16 and 64 cells of the circle 2 pi."""
@@ -257,7 +276,7 @@ def test_stretch_metric_multiplies_spatial(flrw_circle):
 
 
 def test_stretch_metric_rejects_nonpositive_factor(flrw_circle):
-    f = ScalarField.from_time_function(lambda t: np.asarray(t, float))
+    f = ScalarField(fn=lambda t, x: np.asarray(t, float))
     s = stretch_metric(flrw_circle, f)
     with pytest.raises(DomainError):
         s.eval(-1.0, np.array([0.0]))
