@@ -8,8 +8,8 @@ import numpy as np
 
 from .domain import MIN_RESOLUTION, SpatialDomain
 from .errors import ConfigError, FormatError
-from .expr import eval_expression, free_variables, parse_expression
-from .fields import MetricField, SpdField, warped_product
+from .expr import compile_expression, free_variables, parse_expression
+from .fields import MetricField, SpdField, single_time, warped_product
 
 SCHEMA_VERSION = 1
 
@@ -195,34 +195,30 @@ def _g0_field(domain: SpatialDomain, params: dict, path: str) -> SpdField:
     return SpdField.constant(domain, mat)
 
 
-def _lapse_fn(spec: MetricSpec, domain: SpatialDomain, path: str):
-    try:
-        tree = parse_expression(spec.lapse)
-    except Exception as e:
-        raise ConfigError(f"{path}.lapse: {e}")
-    allowed = {"t", "x1"} | ({"x2"} if domain.dimension == 2 else set())
-    extra = free_variables(tree) - allowed
-    _require(not extra, f"{path}.lapse", f"unknown variables {sorted(extra)}")
-
-    def fn(t, x):
-        b = {"t": t, "x1": x[:, 0]}
-        if domain.dimension == 2:
-            b["x2"] = x[:, 1]
-        return np.broadcast_to(np.asarray(eval_expression(tree, b), float), t.shape)
-
-    return fn
+def _coords(x) -> dict:
+    """Expression bindings of the spatial variables: the columns of x."""
+    return {f"x{i + 1}": x[:, i] for i in range(x.shape[1])}
 
 
-def _scalar_t_expr(text: str, path: str):
+def _compile(text: str, path: str, domain: SpatialDomain, t_only: bool = False):
+    """Parse and compile one expression; each t-free subtree that reads x is
+    evaluated once per compiled metric on the domain grid."""
     try:
         tree = parse_expression(text)
     except Exception as e:
         raise ConfigError(f"{path}: {e}")
-    extra = free_variables(tree) - {"t"}
-    _require(not extra, path, f"only t allowed, found {sorted(extra)}")
-    return lambda t: np.broadcast_to(
-        np.asarray(eval_expression(tree, {"t": np.asarray(t, float)}), float),
-        np.shape(t),
+    free = free_variables(tree)
+    extra = free - ({"t"} if t_only else {"t"} | {f"x{i + 1}" for i in range(domain.dimension)})
+    _require(not extra, path,
+             f"only t allowed, found {sorted(extra)}" if t_only else f"unknown variables {sorted(extra)}")
+    grid = _coords(domain.grid_points()) if free - {"t"} else None
+    return compile_expression(tree, grid=grid)
+
+
+def _lapse_fn(spec: MetricSpec, domain: SpatialDomain, path: str):
+    run = _compile(spec.lapse, f"{path}.lapse", domain)
+    return lambda t, x: np.broadcast_to(
+        np.asarray(run({"t": t, **_coords(x)}, on_grid=domain.is_grid(x)), float), t.shape
     )
 
 
@@ -253,14 +249,16 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
     if spec.catalog == "anisotropic_diag":
         _require(domain.dimension == 2, f"{path}.catalog",
                  "anisotropic_diag needs a 2-dimensional domain")
-        a1 = _scalar_t_expr(str(p.get("a1", "1")), f"{path}.params.a1")
-        a2 = _scalar_t_expr(str(p.get("a2", "1")), f"{path}.params.a2")
+        a1, a2 = (_compile(str(p.get(nm, "1")), f"{path}.params.{nm}", domain, t_only=True)
+                  for nm in ("a1", "a2"))
         g0 = _g0_field(domain, p, path)
 
         def spatial(t, x):
-            s1 = np.asarray(a1(t), float)
-            s2 = np.asarray(a2(t), float)
-            scale = np.zeros((t.shape[0], 2, 2))
+            # the 2x2 scale depends on t alone: one row on a one-time batch
+            tt = t[:1] if single_time(t) else t
+            s1 = np.broadcast_to(np.asarray(a1({"t": tt}), float), tt.shape)
+            s2 = np.broadcast_to(np.asarray(a2({"t": tt}), float), tt.shape)
+            scale = np.zeros((tt.shape[0], 2, 2))
             scale[:, 0, 0] = s1 * s1
             scale[:, 1, 1] = s2 * s2
             return scale * np.asarray(g0.fn(x), float)
@@ -269,30 +267,22 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
     if spec.catalog == "custom":
         d = domain.dimension
         names = ["g11"] if d == 1 else ["g11", "g12", "g22"]
-        trees = {}
+        runs = {}
         for nm in names:
             _require(nm in p, f"{path}.params.{nm}", "missing spatial entry expression")
-            try:
-                trees[nm] = parse_expression(str(p[nm]))
-            except Exception as e:
-                raise ConfigError(f"{path}.params.{nm}: {e}")
-            allowed = {"t", "x1"} | ({"x2"} if d == 2 else set())
-            extra = free_variables(trees[nm]) - allowed
-            _require(not extra, f"{path}.params.{nm}", f"unknown variables {sorted(extra)}")
+            runs[nm] = _compile(str(p[nm]), f"{path}.params.{nm}", domain)
 
         def spatial(t, x):
-            b = {"t": t, "x1": x[:, 0]}
-            if d == 2:
-                b["x2"] = x[:, 1]
+            b = {"t": t, **_coords(x)}
+            on_grid = domain.is_grid(x)
+            v = {nm: np.broadcast_to(np.asarray(run(b, on_grid), float), t.shape)
+                 for nm, run in runs.items()}
             out = np.empty((t.shape[0], d, d))
-            v11 = np.broadcast_to(np.asarray(eval_expression(trees["g11"], b), float), t.shape)
-            out[:, 0, 0] = v11
+            out[:, 0, 0] = v["g11"]
             if d == 2:
-                v12 = np.broadcast_to(np.asarray(eval_expression(trees["g12"], b), float), t.shape)
-                v22 = np.broadcast_to(np.asarray(eval_expression(trees["g22"], b), float), t.shape)
-                out[:, 0, 1] = v12
-                out[:, 1, 0] = v12
-                out[:, 1, 1] = v22
+                out[:, 0, 1] = v["g12"]
+                out[:, 1, 0] = v["g12"]
+                out[:, 1, 1] = v["g22"]
             return out
 
         return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)))

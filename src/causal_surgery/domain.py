@@ -7,6 +7,7 @@ the completeness factor default to the constant 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,18 @@ class SpatialDomain:
         axes = [self.axis_coords(i) for i in range(self.dimension)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        g = self.grid_points()
+        g.setflags(write=False)
+        return g
+
+    def is_grid(self, x: np.ndarray) -> bool:
+        """Whether the points x (n, d) are this domain's grid, in grid order
+        (compared as numbers, so -0.0 matches 0.0)."""
+        g = self._grid
+        return x.shape == g.shape and np.array_equal(x, g)
 
     @property
     def n_points(self) -> int:

@@ -12,10 +12,17 @@ Identifiers are restricted to the variables t, x1, x2, the constants pi and e,
 and the functions exp, sin, cos, tanh, sqrt (unary) and min, max (binary).
 Evaluation is IEEE double (numpy arrays pass through); division by zero and
 domain violations raise instead of propagating NaN.
+
+A tree is compiled once (``compile_expression``) into nested closures, and
+evaluated separably on a lattice slice: a subtree that reads t alone runs
+once on one element when every t of the batch is equal, and a subtree that
+reads x alone runs once on a fixed grid and is read back.  Both shortcuts
+are bit-exact against evaluating every point.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -254,47 +261,146 @@ def _loc(node: Expression) -> str:
     return serialize_expression(node)
 
 
+_SPATIAL = frozenset(VARIABLES) - {"t"}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def compile_expression(e: Expression, grid: dict | None = None):
+    """Compile a tree once into ``run(bindings, on_grid=False)``.
+
+    ``run`` performs the NumPy operations of a direct tree walk, in the same
+    order and with the same ``ExprEvalError`` checks; the bindings are
+    scalars or numpy arrays.  Two separable shortcuts keep it bit-exact:
+
+    - When t is a 1-D batch whose entries are all equal and every spatial
+      variable the tree reads is bound to an array of t's shape, each
+      maximal subtree that reads t and no spatial variable runs once on
+      ``t[:1]`` and broadcasts.  The operands of a ``^`` that reads a
+      spatial variable are left whole: NumPy takes a different power
+      kernel for a one-element exponent.
+    - ``grid`` binds the spatial variables on a fixed point set.  Each
+      maximal subtree that reads a spatial variable and not t is then
+      evaluated there once, on first use, kept read-only, and read back by
+      every call with ``on_grid=True`` (the caller's spatial bindings equal
+      ``grid``'s).
+    """
+
+    def build(node, parent_free: frozenset, narrow: bool = True):
+        """The closure ``fn(b, bt, on_grid)`` of a node below a parent reading
+        ``parent_free``; ``bt`` is ``b`` with t narrowed to one element on a
+        one-time batch, else ``b`` itself."""
+        free = frozenset(free_variables(node))
+        fn = closure(node, free)
+        if isinstance(node, Var):
+            return fn
+        if narrow and free == {"t"} and parent_free & _SPATIAL:
+            return lambda b, bt, g: fn(bt, bt, g)
+        if grid is not None and "t" in parent_free and free & _SPATIAL and "t" not in free:
+            return grid_cached(fn)
+        return fn
+
+    def grid_cached(fn):
+        box = []
+
+        def cached(b, bt, g):
+            if not g:
+                return fn(b, bt, g)
+            if not box:
+                v = np.array(fn(grid, grid, False))
+                v.setflags(write=False)
+                box.append(v)
+            return box[0]
+
+        return cached
+
+    def closure(node, free):
+        if isinstance(node, (Num, Const)):
+            value = node.value if isinstance(node, Num) else CONSTANTS[node.name]
+            return lambda b, bt, g: value
+        if isinstance(node, Var):
+            name = node.name
+
+            def var(b, bt, g):
+                if name not in b:
+                    raise ExprEvalError(f"missing binding for variable {name!r}")
+                return b[name]
+
+            return var
+        if isinstance(node, Unary):
+            f = build(node.arg, free)
+            return lambda b, bt, g: -f(b, bt, g)
+        if isinstance(node, Call):
+            fs = [build(a, free) for a in node.args]
+            if node.name == "sqrt":
+                (f,) = fs
+
+                def sqrt(b, bt, g):
+                    a = f(b, bt, g)
+                    if np.any(np.asarray(a) < 0):
+                        raise ExprEvalError(f"sqrt of negative value in {_loc(node)!r}")
+                    return np.sqrt(a)
+
+                return sqrt
+            ufunc = FUNCTIONS[node.name][1]
+            if len(fs) == 1:
+                (f,) = fs
+                return lambda b, bt, g: ufunc(f(b, bt, g))
+            return lambda b, bt, g: ufunc(*[f(b, bt, g) for f in fs])
+        if isinstance(node, Bin):
+            narrow = node.op != "^" or not free & _SPATIAL
+            lf = build(node.left, free, narrow)
+            rf = build(node.right, free, narrow)
+            if node.op in _ARITH:
+                op = _ARITH[node.op]
+                return lambda b, bt, g: op(lf(b, bt, g), rf(b, bt, g))
+            if node.op == "/":
+
+                def div(b, bt, g):
+                    lv = lf(b, bt, g)
+                    rv = rf(b, bt, g)
+                    if np.any(np.asarray(rv) == 0):
+                        raise ExprEvalError(f"division by zero in {_loc(node)!r}")
+                    return lv / rv
+
+                return div
+            if node.op == "^":
+
+                def power(b, bt, g):
+                    lva = np.asarray(lf(b, bt, g), dtype=float)
+                    rva = np.asarray(rf(b, bt, g), dtype=float)
+                    if np.any((lva == 0) & (rva < 0)):
+                        raise ExprEvalError(f"zero raised to negative power in {_loc(node)!r}")
+                    if np.any((lva < 0) & (rva != np.floor(rva))):
+                        raise ExprEvalError(
+                            f"negative base with non-integer exponent in {_loc(node)!r}"
+                        )
+                    out = np.power(lva, rva)
+                    return float(out) if out.ndim == 0 else out
+
+                return power
+        raise TypeError(f"not an expression node: {node!r}")
+
+    free = frozenset(free_variables(e))
+    root = build(e, frozenset(VARIABLES))
+    narrowed_root = free == {"t"} and not isinstance(e, Var)
+    spatial = sorted(free & _SPATIAL)
+    narrows = "t" in free
+
+    def run(bindings: dict, on_grid: bool = False):
+        bt = bindings
+        t = bindings.get("t")
+        if (narrows and isinstance(t, np.ndarray) and t.ndim == 1 and t.size > 1
+                and all(np.shape(bindings.get(v)) == t.shape for v in spatial)
+                and (t == t[0]).all()):
+            bt = dict(bindings, t=t[:1])
+        out = root(bindings, bt, on_grid)
+        if narrowed_root and bt is not bindings:
+            out = np.repeat(out, t.size)
+        return out
+
+    return run
+
+
 def eval_expression(e: Expression, bindings: dict):
     """Evaluate with the given variable bindings (scalars or numpy arrays)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Var):
-        if e.name not in bindings:
-            raise ExprEvalError(f"missing binding for variable {e.name!r}")
-        return bindings[e.name]
-    if isinstance(e, Unary):
-        return -eval_expression(e.arg, bindings)
-    if isinstance(e, Call):
-        args = [eval_expression(a, bindings) for a in e.args]
-        if e.name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise ExprEvalError(f"sqrt of negative value in {_loc(e)!r}")
-            return np.sqrt(args[0])
-        return FUNCTIONS[e.name][1](*args)
-    if isinstance(e, Bin):
-        lv = eval_expression(e.left, bindings)
-        rv = eval_expression(e.right, bindings)
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            if np.any(np.asarray(rv) == 0):
-                raise ExprEvalError(f"division by zero in {_loc(e)!r}")
-            return lv / rv
-        if e.op == "^":
-            lva = np.asarray(lv, dtype=float)
-            rva = np.asarray(rv, dtype=float)
-            if np.any((lva == 0) & (rva < 0)):
-                raise ExprEvalError(f"zero raised to negative power in {_loc(e)!r}")
-            if np.any((lva < 0) & (rva != np.floor(rva))):
-                raise ExprEvalError(
-                    f"negative base with non-integer exponent in {_loc(e)!r}"
-                )
-            out = np.power(lva, rva)
-            return float(out) if out.ndim == 0 else out
-    raise TypeError(f"not an expression node: {e!r}")
+    return compile_expression(e)(bindings)

@@ -19,6 +19,12 @@ time value, in order, over the point set ``pts`` (the domain grid by
 default), stacked into (nt, n) lapse and (nt, n, d, d) spatial arrays for a
 metric, or (nt, n) values for a scalar field.  Callers reduce over the
 stacked arrays; the batching of lattice evaluations is decided here only.
+
+A lattice slice is a batch with one time (``single_time``) at the domain
+grid (``SpatialDomain.is_grid``), and a layer may evaluate it separably,
+bit for bit: work that depends on t alone is done once per slice on one
+element, and work that depends on x alone once per grid and read back.
+The DSL metrics of ``config`` and the smooth majorant do so.
 """
 from __future__ import annotations
 
@@ -54,6 +60,11 @@ class PlateauConstraint:
 
     def overlaps(self, other: "PlateauConstraint") -> bool:
         return self.t_lo < other.t_hi and other.t_lo < self.t_hi
+
+
+def single_time(t: np.ndarray) -> bool:
+    """Whether a time batch (n,) holds one time, as a lattice slice does."""
+    return t.ndim == 1 and t.size > 0 and bool((t == t[0]).all())
 
 
 def as_batch(t, x, d: int):
@@ -280,7 +291,6 @@ class _GridSpline:
             knots.append(spl.t)
             coef = np.moveaxis(spl.c, 0, ax)
         self._spline = NdBSpline(tuple(knots), coef, 3)
-        self._grid = domain.grid_points()
         # the basis of each spatial axis at its grid coordinates: banded,
         # four nonzeros per row
         self._grid_basis = [
@@ -289,8 +299,7 @@ class _GridSpline:
         ]
 
     def __call__(self, t: np.ndarray, x: np.ndarray):
-        if (x.shape == self._grid.shape and np.all(t == t[0])
-                and np.array_equal(x, self._grid)):
+        if self.domain.is_grid(x) and single_time(t):
             out = self._grid_slice(float(t[0]))
         else:
             out = self._spline(np.column_stack([t, self.domain.wrap(x)]))
@@ -307,7 +316,7 @@ class _GridSpline:
             c = np.moveaxis(c, ax, 0)
             rest = c.shape[1:]
             c = np.moveaxis((basis @ c.reshape(c.shape[0], -1)).reshape((-1,) + rest), 0, ax)
-        return c.reshape(self._grid.shape[0], -1)
+        return c.reshape(self.domain.n_points, -1)
 
 
 def sample_metric(m, t_grid, pts=None, check: bool = True):

@@ -36,6 +36,7 @@ from .fields import (
     SpdField,
     max_metric_deviation,
     sample_metric,
+    single_time,
     time_reverse,
     time_shift,
     ultrastatic_metric,
@@ -120,13 +121,11 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
     (``causality.reference_field``), evaluated once on the domain grid.
     """
     ref = causality.reference_field(m.domain, j, g0)
-    grid = m.domain.grid_points()
-    ref_grid = np.asarray(ref.fn(grid), dtype=float)
+    ref_grid = np.asarray(ref.fn(m.domain.grid_points()), dtype=float)
 
     def fn(t, x):
         lam, g = m.eval(t, x, check=True)
-        on_grid = x.shape == grid.shape and np.array_equal(x, grid)
-        refv = ref_grid if on_grid else np.asarray(ref.fn(x), dtype=float)
+        refv = ref_grid if m.domain.is_grid(x) else np.asarray(ref.fn(x), dtype=float)
         return np.maximum(1.0, lam) * gen_max_eig_batch(g, refv)
 
     return ScalarField(fn=fn)
@@ -159,6 +158,7 @@ class _MajorantField:
         self._slab_max: dict[int, np.ndarray] = {}
         self._nodes: dict[int, float | np.ndarray] = {}
         self._rep: dict[int, float | np.ndarray] = {}
+        self._grid_nodes: dict = {}
 
         # snapped plateau regions (inward for constant, outward for one)
         self.const_regions: list[tuple[float, float]] = []
@@ -241,13 +241,19 @@ class _MajorantField:
         on the domain grid only once."""
         if all(isinstance(v, float) for v in nodes):
             return nodes
-        on_grid = x.shape == self.grid.shape and np.array_equal(x, self.grid)
-        idx, w = self._grid_cells if on_grid else self._cells(x)
+        idx, w = self._grid_cells if self.domain.is_grid(x) else self._cells(x)
         return [v if isinstance(v, float) else (w * v[idx]).sum(axis=0) for v in nodes]
 
     @cached_property
     def _grid_cells(self):
         return self._cells(self.grid)
+
+    def _grid_node(self, key, node: float | np.ndarray) -> float | np.ndarray:
+        """A node blended over the domain grid, once per key: the node index
+        k, or ("rep", i) for the shared node of constant-in-t region i."""
+        if key not in self._grid_nodes:
+            self._grid_nodes[key] = self._in_space(self.grid, node)[0]
+        return self._grid_nodes[key]
 
     def _cells(self, x: np.ndarray):
         """Flat node indices (2^d, n) of the corners of each point's grid
@@ -279,10 +285,41 @@ class _MajorantField:
             w = np.maximum(w, wi)
         return w
 
+    def _slice(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The majorant at one time, t a one-element array, on the points x:
+        the general path's arithmetic with its time logic done once, and on
+        the domain grid each node blended in space once."""
+        h = MAJORANT_NODE_SPACING
+        out = np.empty(x.shape[0])
+        w = self._one_weight(t)
+        if w[0] >= 1.0:
+            out[:] = 1.0
+            return out
+        on_grid = self.domain.is_grid(x)
+        for i, (lo, hi) in enumerate(self.const_regions):
+            if lo <= t[0] <= hi:
+                rep = self._rep_value(i)
+                out[:] = self._grid_node(("rep", i), rep) if on_grid else self._in_space(x, rep)[0]
+                return out
+        k = np.floor(t / h).astype(int)
+        u = smooth_unit_step(t / h - k)
+        kk = int(k[0])
+        if on_grid:
+            a, b = self._grid_node(kk, self._node(kk)), self._grid_node(kk + 1, self._node(kk + 1))
+        else:
+            a, b = self._in_space(x, self._node(kk), self._node(kk + 1))
+        v = (1.0 - u) * a + u * b
+        if w[0] > 0.0:
+            v = (1.0 - w) * v + w
+        out[:] = v
+        return out
+
     def __call__(self, t, x):
         h = MAJORANT_NODE_SPACING
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
+        if single_time(t):
+            return self._slice(t[:1], x)
         out = np.empty_like(t)
         done = np.zeros(t.shape, dtype=bool)
 

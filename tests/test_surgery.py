@@ -471,3 +471,37 @@ def test_time_reverse_involution(flrw_circle):
     t = np.linspace(-2, 2, 9)
     x = np.zeros((9, 1))
     np.testing.assert_array_equal(rr.eval(t, x)[1], flrw_circle.eval(t, x)[1])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_majorant_single_time_path_matches_the_general_path(d):
+    """A one-time batch (time logic once, grid nodes blended once) equals the
+    general path, forced by one extra point at another time, bit for bit:
+    at node times k h, inside a constant-in-t plateau and at its edge,
+    between nodes, on the ramp into an identically-one plateau and on it."""
+    domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (16,) * d)
+    bump = _bump_lower(domain, 0.0, 0.5, 0.4, np.full(d, 1.0), False)
+    # constant in t up to -1, growing after it, below 1 on the one-plateau
+    lower = ScalarField(
+        fn=lambda t, x: 0.2 + bump.fn(t, x) * (1.0 + 0.4 * np.tanh(np.maximum(t + 1.0, 0.0)))
+    )
+    constraints = (
+        PlateauConstraint(-INF, -1.0, CONSTANT_IN_T),
+        PlateauConstraint(1.7, INF, IDENTICALLY_ONE),
+    )
+    f = smooth_majorant(lower, constraints, domain, t_window=(-3.0, 3.0))
+    grid = domain.grid_points()
+    n = grid.shape[0]
+    off = np.random.default_rng(d).uniform(0.0, 1.0, (n, d)) * np.asarray(domain.circumferences)
+    for t in (-2.0, -1.25, -1.0, -0.5, 0.0, 0.3, 0.5, 1.2, 1.4, 2.0):
+        for x in (grid, off):
+            one_time = f.fn(np.full(n, t), x)
+            general = f.fn(np.append(np.full(n, t), t + 0.37), np.vstack([x, x[:1]]))[:n]
+            assert one_time.tobytes() == general.tobytes(), t
+    # 1.2 and 1.4 lie on the ramp into the identically-one plateau
+    assert 0.0 < f.fn._one_weight(np.array([1.2]))[0] < f.fn._one_weight(np.array([1.4]))[0] < 1.0
+    # each grid node is blended once and kept
+    kept = dict(f.fn._grid_nodes)
+    assert ("rep", 0) in kept and 0 in kept
+    f.fn(np.full(n, 0.3), grid)
+    assert all(f.fn._grid_nodes[k] is v for k, v in kept.items())
