@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +36,7 @@ from .fields import (
     MetricField,
     ScalarField,
     SpdField,
+    as_shape,
     max_metric_deviation,
     sample_metric,
 )
@@ -56,8 +58,7 @@ def reference_field(domain: SpatialDomain, j: ScalarField, g0: SpdField) -> SpdF
     """The complete comparison metric j(x) * g0(x) as an SpdField."""
 
     def fn(x):
-        jv = np.asarray(j.fn(np.zeros(x.shape[0]), x), dtype=float)
-        jv = np.broadcast_to(jv, (x.shape[0],))
+        jv = as_shape(j.fn(np.zeros(x.shape[0]), x), (x.shape[0],))
         return jv[:, None, None] * np.asarray(g0.fn(x), dtype=float)
 
     return SpdField(domain, fn)
@@ -79,6 +80,14 @@ def _quadratic_form(u, g):
     return out
 
 
+@lru_cache(maxsize=None)
+def _image_shifts(d: int) -> np.ndarray:
+    """The 3^d lattice image offsets {-1, 0, 1}^d, (3^d, d), in product order."""
+    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+    shifts.setflags(write=False)
+    return shifts
+
+
 def ref_distance(domain: SpatialDomain, ref: SpdField, x0, x1, n_quad: int = 16):
     """Distance between x0 and x1 in the reference metric.
 
@@ -90,7 +99,7 @@ def ref_distance(domain: SpatialDomain, ref: SpdField, x0, x1, n_quad: int = 16)
     x1 = np.atleast_2d(np.asarray(x1, dtype=float))
     n, d = x0.shape
     base = domain.min_image(x1 - x0)
-    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=d)))
+    shifts = _image_shifts(d)
     disp = base[None, :, :] + (shifts * np.asarray(domain.circumferences))[:, None, :]
     # midpoint quadrature of sqrt(ref(dx, dx)) along every image's segment,
     # all images in one reference evaluation
@@ -229,7 +238,15 @@ class HoldAtMaxDirection:
 
 @dataclass(frozen=True)
 class CausalCurve:
-    """Graph-parametrized causal curve t -> (t, k(t)) with speed certificates."""
+    """Graph-parametrized causal curve t -> (t, k(t)) with its speed
+    certificate.
+
+    ``max_speed_ratio`` is the max over RK4 steps (and 0) of
+    g(kdot, kdot) / lambda for the step-average velocity kdot, measured at
+    the step midpoint.  It is computed when the curve is built for a
+    caller: by ``integrate_causal_curve``, and for the witness of a failing
+    ``verify_cone_containment``.
+    """
 
     times: np.ndarray  # (m,)
     points: np.ndarray  # (m, d)
@@ -248,7 +265,7 @@ class CausalCurve:
 
 
 class _Run(NamedTuple):
-    """One policy group inside a bundle, with its recorded trajectory."""
+    """One policy group inside a bundle, with its trajectory so far."""
 
     index: int
     t0: float
@@ -257,6 +274,38 @@ class _Run(NamedTuple):
     policy: object
     times: list
     points: list
+    velocities: list
+
+
+class _Path:
+    """One policy group's integrated curves.
+
+    ``times`` (m,) and ``points`` (m, n, d) hold the launch and every
+    ``record_every``-th step (and the last one).  Every step's time,
+    position and step-average velocity are kept, so ``speed_ratio(i)`` can
+    compute curve i's speed certificate on request.
+    """
+
+    def __init__(self, m, times, points, velocities, half, record_every=1):
+        self._m = m
+        self._steps = (times, points, velocities, half)
+        keep = slice(None, None, record_every)
+        self.times, self.points = times[keep], points[keep]
+        if (times.size - 1) % record_every:
+            self.times = np.append(self.times, times[-1])
+            self.points = np.concatenate([self.points, points[-1:]])
+
+    def speed_ratio(self, i: int) -> float:
+        """Curve i's max over steps (and 0) of g(v, v) / lambda, v the step's
+        average velocity and (lambda, g) the metric at the step midpoint:
+        one evaluation over the curve's steps."""
+        times, points, velocities, half = self._steps
+        if not velocities.shape[0]:
+            return 0.0
+        x = points[:, i]
+        lam, g = self._m.eval(times[1:] - half, (x[:-1] + x[1:]) / 2, check=False)
+        ratio = _quadratic_form(velocities[:, i], g) / lam
+        return float(np.maximum(0.0, ratio.max()))
 
 
 def _integrate_bundle(m, groups, t_end, step, record_every=1):
@@ -265,16 +314,18 @@ def _integrate_bundle(m, groups, t_end, step, record_every=1):
     ``groups`` is a sequence of ``(t0, x0, policy)``: curves x0 (n, d)
     launched at t0 and steered by ``policy``.  Each group takes
     round(|span| / step) equal steps from its own t0 to t_end (clipped to the
-    validity window) and drops out once they are done.  Every RK4 stage and
-    every speed-certificate midpoint is a single metric evaluation over the
-    curves of all groups still running.  All arithmetic is per curve, so each
+    validity window) and drops out once they are done.  Every RK4 stage is a
+    single metric evaluation over the curves of all groups still running, so
+    a step costs four evaluations.  All arithmetic is per curve, so each
     curve is bit-identical to integrating its group alone.
 
     sigma = sqrt(lambda / g(u,u)) makes each velocity null, so the speed
     certificate g(kdot,kdot) <= lambda holds with equality up to integration
-    error.  Fixed step; global error O(step^4).
+    error.  It is not computed here: each step's average velocity is kept,
+    and a returned path computes one curve's certificate when asked
+    (``_Path.speed_ratio``).  Fixed step; global error O(step^4).
 
-    Returns ``([(times, points, max_speed_ratio) per group], truncated)``.
+    Returns ``([_Path per group], truncated)``.
     """
     lo, hi = m.window
     t_stop = float(np.clip(t_end, lo, hi))
@@ -286,10 +337,11 @@ def _integrate_bundle(m, groups, t_end, step, record_every=1):
         span = t_stop - t0
         if span == 0.0:
             m.eval(np.full(x0.shape[0], t0), x0, check=True)
-            paths[index] = (np.array([t0]), x0[None, :, :], np.zeros(x0.shape[0]))
+            no_steps = np.empty((0,) + x0.shape)
+            paths[index] = _Path(m, np.array([t0]), x0[None, :, :], no_steps, 0.0)
         else:
             n_steps = max(1, int(round(abs(span) / step)))
-            live.append(_Run(index, t0, n_steps, x0, policy, [t0], [x0]))
+            live.append(_Run(index, t0, n_steps, x0, policy, [t0], [x0], []))
     if not live:
         return paths, truncated
     # longest groups first, so the curves still running are always a prefix
@@ -301,7 +353,6 @@ def _integrate_bundle(m, groups, t_end, step, record_every=1):
     dt = np.repeat([(t_stop - run.t0) / run.n_steps for run in live], sizes)
     t = t_launch
     x = np.concatenate([run.x0 for run in live])
-    max_ratio = np.zeros(x.shape[0])
     for run in live:
         run.policy.after_step(run.t0, run.x0)
 
@@ -324,28 +375,23 @@ def _integrate_bundle(m, groups, t_end, step, record_every=1):
         k3 = rhs(t_mid, x + half[:, None] * k2)
         k4 = rhs(t + dt, x + dt[:, None] * k3)
         v = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        x_prev = x
         x = x + dt[:, None] * v
         i += 1
         t = t_launch + i * dt
         for run, sl in zip(live, slices):
             run.policy.after_step(float(t[sl.start]), x[sl])
-        # speed certificate for the step-average velocity, measured at the
-        # step midpoint so the bias is O(step^2) rather than O(step)
-        lam, g = m.eval(t - half, (x_prev + x) / 2, check=False)
-        gvv = _quadratic_form(v, g)
-        max_ratio = np.maximum(max_ratio, gvv / lam)
-        for run, sl in zip(live, slices):
-            if i % record_every == 0 or i == run.n_steps:
-                run.times.append(float(t[sl.start]))
-                run.points.append(x[sl])
+            run.times.append(float(t[sl.start]))
+            run.points.append(x[sl])
+            run.velocities.append(v[sl])
         while live and live[-1].n_steps == i:
             run, sl = live.pop(), slices.pop()
-            paths[run.index] = (np.asarray(run.times), np.stack(run.points), max_ratio[sl])
+            paths[run.index] = _Path(
+                m, np.asarray(run.times), np.stack(run.points), np.stack(run.velocities),
+                (t_stop - run.t0) / run.n_steps / 2, record_every,
+            )
         if live:
             n = slices[-1].stop
             x, t_launch, dt, t = x[:n], t_launch[:n], dt[:n], t[:n]
-            max_ratio = max_ratio[:n]
     return paths, truncated
 
 
@@ -354,7 +400,9 @@ def integrate_causal_curve(m, start, direction, t_end, step):
 
     ``direction`` is either a fixed spatial direction vector or a direction
     policy object.  Leaving the validity window truncates the curve and sets
-    its flag.
+    its flag.  The curve keeps every tenth step (and the last); its speed
+    certificate covers every step and costs one more metric evaluation,
+    over the curve's step midpoints.
     """
     if step <= 0:
         raise DomainError("step must be positive")
@@ -363,14 +411,14 @@ def integrate_causal_curve(m, start, direction, t_end, step):
     if not hasattr(policy, "directions"):
         policy = ConstantDirection(np.asarray(direction, dtype=float))
     policy.prepare(1, t0, t_end, m.domain, None)
-    [(times, xs, ratios)], truncated = _integrate_bundle(
+    [path], truncated = _integrate_bundle(
         m, [(t0, x0.reshape(1, -1), policy)], t_end, step, record_every=10
     )
     return CausalCurve(
-        times=times,
-        points=xs[:, 0, :],
+        times=path.times,
+        points=path.points[:, 0, :],
         direction="future" if t_end >= t0 else "past",
-        max_speed_ratio=float(ratios[0]),
+        max_speed_ratio=path.speed_ratio(0),
         truncated=truncated,
         policy=policy.name,
     )
@@ -412,7 +460,8 @@ def verify_cone_containment(
     arrives at t = 0 within j g_0 distance |t_start| + tol of its start.
 
     The curves form four direction-policy groups, each launched at its
-    earliest sampled start and integrated together as one lockstep bundle."""
+    earliest sampled start and integrated together as one lockstep bundle.
+    Only a failing check computes a speed certificate: the witness's."""
     rng = np.random.default_rng(seed)
     domain = m.domain
     d = domain.dimension
@@ -446,22 +495,26 @@ def verify_cone_containment(
     paths, _ = _integrate_bundle(m, groups, 0.0, step)
 
     worst = INF
-    witness = None
-    for (t0, x0, policy), (times, xs, ratios) in zip(groups, paths):
-        dist = np.atleast_1d(ref_distance(domain, ref, x0, xs[-1]))
+    worst_curve = None
+    for (t0, x0, policy), path in zip(groups, paths):
+        dist = np.atleast_1d(ref_distance(domain, ref, x0, path.points[-1]))
         margin = abs(t0) - dist
         i = int(np.argmin(margin))
         if margin[i] < worst:
             worst = float(margin[i])
             if margin[i] < -tol:
-                witness = CausalCurve(
-                    times=times,
-                    points=xs[:, i, :],
-                    direction="future",
-                    max_speed_ratio=float(ratios[i]),
-                    policy=policy.name,
-                )
+                worst_curve = (path, i, policy.name)
     passed = worst >= -tol
+    witness = None
+    if not passed:
+        path, i, name = worst_curve
+        witness = CausalCurve(
+            times=path.times,
+            points=path.points[:, i, :],
+            direction="future",
+            max_speed_ratio=path.speed_ratio(i),
+            policy=name,
+        )
     detail = "" if passed else (
         f"curve ({witness.policy}) from t={witness.times[0]:.4g}, "
         f"x={witness.points[0].tolist()} arrived at distance exceeding the "

@@ -9,7 +9,7 @@ import numpy as np
 from .domain import MIN_RESOLUTION, SpatialDomain
 from .errors import ConfigError, FormatError
 from .expr import compile_expression, free_variables, parse_expression
-from .fields import MetricField, SpdField, single_time, warped_product
+from .fields import MetricField, SpdField, as_shape, single_time, warped_product
 
 SCHEMA_VERSION = 1
 
@@ -217,9 +217,7 @@ def _compile(text: str, path: str, domain: SpatialDomain, t_only: bool = False):
 
 def _lapse_fn(spec: MetricSpec, domain: SpatialDomain, path: str):
     run = _compile(spec.lapse, f"{path}.lapse", domain)
-    return lambda t, x: np.broadcast_to(
-        np.asarray(run({"t": t, **_coords(x)}, on_grid=domain.is_grid(x)), float), t.shape
-    )
+    return lambda t, x: as_shape(run({"t": t, **_coords(x)}, on_grid=domain.is_grid(x)), t.shape)
 
 
 def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric") -> MetricField:
@@ -256,8 +254,8 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
         def spatial(t, x):
             # the 2x2 scale depends on t alone: one row on a one-time batch
             tt = t[:1] if single_time(t) else t
-            s1 = np.broadcast_to(np.asarray(a1({"t": tt}), float), tt.shape)
-            s2 = np.broadcast_to(np.asarray(a2({"t": tt}), float), tt.shape)
+            s1 = as_shape(a1({"t": tt}), tt.shape)
+            s2 = as_shape(a2({"t": tt}), tt.shape)
             scale = np.zeros((tt.shape[0], 2, 2))
             scale[:, 0, 0] = s1 * s1
             scale[:, 1, 1] = s2 * s2
@@ -275,8 +273,7 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
         def spatial(t, x):
             b = {"t": t, **_coords(x)}
             on_grid = domain.is_grid(x)
-            v = {nm: np.broadcast_to(np.asarray(run(b, on_grid), float), t.shape)
-                 for nm, run in runs.items()}
+            v = {nm: as_shape(run(b, on_grid), t.shape) for nm, run in runs.items()}
             out = np.empty((t.shape[0], d, d))
             out[:, 0, 0] = v["g11"]
             if d == 2:

@@ -67,6 +67,13 @@ def single_time(t: np.ndarray) -> bool:
     return t.ndim == 1 and t.size > 0 and bool((t == t[0]).all())
 
 
+def as_shape(a, shape: tuple) -> np.ndarray:
+    """a as a float array of the given shape, broadcast (read-only) only when
+    it does not have that shape already."""
+    a = np.asarray(a, dtype=float)
+    return a if a.shape == shape else np.broadcast_to(a, shape)
+
+
 def as_batch(t, x, d: int):
     """Canonicalize (t, x) to (t: (n,), x: (n, d), was_scalar)."""
     t = np.asarray(t, dtype=float)
@@ -113,8 +120,7 @@ class ScalarField:
         else:
             d = xa.shape[-1]
         tb, xb, scalar = as_batch(t, x, d)
-        out = np.asarray(self.fn(tb, xb), dtype=float)
-        out = np.broadcast_to(out, tb.shape)
+        out = as_shape(self.fn(tb, xb), tb.shape)
         return float(out[0]) if scalar else out
 
 
@@ -168,7 +174,7 @@ class MetricField:
     def _check_window(self, t: np.ndarray):
         lo, hi = self.window
         bad = (t < lo) | (t > hi)
-        if np.any(bad):
+        if bad.any():
             tb = float(np.asarray(t)[bad][0]) if np.ndim(t) else float(t)
             raise DomainError(
                 f"time {tb} outside validity window [{lo}, {hi}]"
@@ -179,19 +185,19 @@ class MetricField:
         tb, xb, scalar = as_batch(t, x, self.domain.dimension)
         self._check_window(tb)
         lam, g = self.fn(tb, xb)
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), tb.shape)
+        lam = as_shape(lam, tb.shape)
         g = np.asarray(g, dtype=float)
         if g.shape != (tb.shape[0], self.domain.dimension, self.domain.dimension):
             raise ShapeError(f"spatial field returned shape {g.shape}")
         if check:
             bad = ~(lam > 0)  # NaN is not a positive lapse either
-            if np.any(bad):
+            if bad.any():
                 i = int(np.argmax(bad))
                 raise DataError(
                     f"non-positive lapse {lam[i]} at t={tb[i]}, x={xb[i].tolist()}"
                 )
             ok = is_spd_batch(g)
-            if not np.all(ok):
+            if not ok.all():
                 i = int(np.argmax(~ok))
                 raise DataError(
                     f"spatial form not SPD at t={tb[i]}, x={xb[i].tolist()}"

@@ -34,6 +34,7 @@ from .fields import (
     PlateauConstraint,
     ScalarField,
     SpdField,
+    as_shape,
     max_metric_deviation,
     sample_metric,
     single_time,
@@ -332,13 +333,13 @@ class _MajorantField:
         # constant-in-t plateaus, bit-exact node value
         for i, (lo, hi) in enumerate(self.const_regions):
             mask = (~done) & (t >= lo) & (t <= hi)
-            if np.any(mask):
+            if mask.any():
                 out[mask] = self._in_space(x[mask], self._rep_value(i))[0]
                 done[mask] = True
 
         # generic blend between adjacent nodes
         rest = ~done
-        if np.any(rest):
+        if rest.any():
             tr = t[rest]
             xr = x[rest]
             k = np.floor(tr / h).astype(int)
@@ -429,8 +430,8 @@ def stretch_metric(m: MetricField, f: ScalarField) -> MetricField:
 
     def fn(t, x):
         lam, g = m.fn(t, x)
-        fv = np.broadcast_to(np.asarray(f.fn(t, x), dtype=float), t.shape)
-        if np.any(fv <= 0):
+        fv = as_shape(f.fn(t, x), t.shape)
+        if (fv <= 0).any():
             i = int(np.argmax(fv <= 0))
             raise DomainError(
                 f"conformal factor {fv[i]} not positive at t={t[i]}, x={x[i].tolist()}"
@@ -589,8 +590,8 @@ def normalize_conformal(m: MetricField) -> MetricField:
 
     def fn(t, x):
         lam, g = m.fn(t, x)
-        s = np.broadcast_to(np.asarray(lam, dtype=float), t.shape)
-        if np.any(s <= 0):
+        s = as_shape(lam, t.shape)
+        if (s <= 0).any():
             i = int(np.argmax(s <= 0))
             raise DomainError(f"non-positive lapse {s[i]} at t={t[i]}, x={x[i].tolist()}")
         th = smooth_unit_step(t)
@@ -693,9 +694,9 @@ def splice(
 
     def fn(t, x):
         mask = t <= t_cut
-        if np.all(mask):
+        if mask.all():
             return a.fn(t, x)
-        if not np.any(mask):
+        if not mask.any():
             return b.fn(t, x)
         lam = np.empty(t.shape)
         g = np.empty(t.shape + (d, d))

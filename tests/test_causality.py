@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from causal_surgery import (
     ConstantDirection,
+    EigenDirection,
     MetricField,
+    MetricSpec,
     ScalarField,
     SpatialDomain,
     SpdField,
+    build_metric,
     causal_diamond_extent,
     integrate_causal_curve,
     interpolate_ultrastatic,
@@ -33,6 +36,7 @@ from causal_surgery.causality import (
 )
 from causal_surgery.errors import DataError, DomainError, OrderError
 from causal_surgery.fields import grid_sample_metric
+from causal_surgery.surgery import half_join
 from conftest import flrw_exp
 
 
@@ -337,6 +341,207 @@ def test_zero_span_bundle_checks_launch_points_only(circle, monkeypatch):
             negative, ScalarField.constant(1.0), _identity_ref(circle),
             n_samples=4, seed=0, t_start_range=(0.0, 0.0),
         )
+
+
+# -- the speed certificate, computed on request ----------------------------
+
+
+def _inline_bundle(m, groups, t_end, step, record_every=1):
+    """The bundle integrator with its speed certificate inline, as it was
+    before the certificate was deferred: after every step, one evaluation at
+    each running curve's step midpoint, folded into a running maximum from 0.
+    Returns ([(times, points, ratios) per group], truncated)."""
+    lo, hi = m.window
+    t_stop = float(np.clip(t_end, lo, hi))
+    paths = [None] * len(groups)
+    live = []
+    for index, (t0, x0, policy) in enumerate(groups):
+        x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+        if t_stop - t0 == 0.0:
+            paths[index] = (np.array([t0]), x0[None, :, :], np.zeros(x0.shape[0]))
+        else:
+            n_steps = max(1, int(round(abs(t_stop - t0) / step)))
+            live.append([index, t0, n_steps, x0, policy, [t0], [x0]])
+    if not live:
+        return paths, t_stop != t_end
+    live.sort(key=lambda run: -run[2])
+    bounds = np.cumsum([0] + [run[3].shape[0] for run in live])
+    slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    sizes = np.diff(bounds)
+    t_launch = np.repeat([run[1] for run in live], sizes)
+    dt = np.repeat([(t_stop - run[1]) / run[2] for run in live], sizes)
+    t = t_launch
+    x = np.concatenate([run[3] for run in live])
+    max_ratio = np.zeros(x.shape[0])
+    for run in live:
+        run[4].after_step(run[1], run[3])
+
+    def rhs(ts, pts):
+        lam, g = m.eval(ts, pts, check=False)
+        u = np.concatenate([
+            np.asarray(run[4].directions(float(ts[sl.start]), pts[sl], g[sl]), dtype=float)
+            for run, sl in zip(live, slices)
+        ])
+        guu = causality._quadratic_form(u, g)
+        sigma = np.sqrt(np.where(guu > 0, lam / np.where(guu > 0, guu, 1.0), 0.0))
+        return sigma[:, None] * u
+
+    i = 0
+    while live:
+        half = dt / 2
+        k1 = rhs(t, x)
+        k2 = rhs(t + half, x + half[:, None] * k1)
+        k3 = rhs(t + half, x + half[:, None] * k2)
+        k4 = rhs(t + dt, x + dt[:, None] * k3)
+        v = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        x_prev = x
+        x = x + dt[:, None] * v
+        i += 1
+        t = t_launch + i * dt
+        for run, sl in zip(live, slices):
+            run[4].after_step(float(t[sl.start]), x[sl])
+        lam, g = m.eval(t - half, (x_prev + x) / 2, check=False)
+        max_ratio = np.maximum(max_ratio, causality._quadratic_form(v, g) / lam)
+        for run, sl in zip(live, slices):
+            if i % record_every == 0 or i == run[2]:
+                run[5].append(float(t[sl.start]))
+                run[6].append(x[sl])
+        while live and live[-1][2] == i:
+            run, sl = live.pop(), slices.pop()
+            paths[run[0]] = (np.asarray(run[5]), np.stack(run[6]), max_ratio[sl])
+        if live:
+            n = slices[-1].stop
+            x, t_launch, dt, t, max_ratio = x[:n], t_launch[:n], dt[:n], t[:n], max_ratio[:n]
+    return paths, t_stop != t_end
+
+
+@pytest.fixture(scope="module")
+def ratio_metrics():
+    """Metrics of every kind the bundle meets, in 1-d and 2-d: config DSL
+    metrics, stretched metrics (one through the half-join layers, whose
+    majorant has a constant-in-t plateau) and grid metrics."""
+    circle = SpatialDomain(1, (2 * np.pi,), (16,))
+    torus = SpatialDomain(2, (2 * np.pi, 4.0), (8, 8))
+    dsl_1d = build_metric(
+        MetricSpec("custom", {"g11": "exp(2*t)*(1 + 0.3*sin(x1))"}, lapse="1 + 0.2*cos(x1 - t)"),
+        circle,
+    )
+    dsl_2d = build_metric(
+        MetricSpec("custom", {"g11": "exp(t)*(2 + sin(x1))", "g12": "0.2*cos(x2)*t",
+                              "g22": "1 + t^2"}, lapse="1 + 0.2*sin(x1)*cos(x2)"),
+        torus,
+    )
+
+    def aniso(t, x):
+        c = 0.1 * np.cos(x[:, 1])
+        return np.stack([np.exp(2 * t), c, c, 1.0 + t * t], axis=-1).reshape(-1, 2, 2)
+
+    grid_2d = grid_sample_metric(
+        MetricField(torus, lambda t, x: (1.0 + 0.2 * np.sin(x[:, 0]), aniso(t, x))),
+        np.linspace(-1.5, 0.5, 6),
+    )
+    return {
+        "dsl-1d": dsl_1d,
+        "dsl-2d": dsl_2d,
+        "stretched-1d": make_globally_hyperbolic(flrw_exp(circle), seed=0, verify=False).metric,
+        "half-join-2d": half_join(dsl_2d, verify=False)[0],
+        "grid-1d": grid_sample_metric(dsl_1d, np.linspace(-1.5, 0.5, 6)),
+        "grid-2d": grid_2d,
+    }
+
+
+def _ratio_groups(domain, launch, seed=5, n=3):
+    """Four policy groups of n curves each, launched at the times ``launch``."""
+    rng = np.random.default_rng(seed)
+    d = domain.dimension
+    ref = SpdField.constant(domain, np.diag([1.0, 2.0][:d]))
+    L = np.asarray(domain.circumferences)
+    makers = [
+        lambda u: ConstantDirection(u),
+        lambda u: PiecewiseRandomDirection(seed=seed + 1),
+        lambda u: EigenDirection(ref),
+        lambda u: HoldAtMaxDirection(u, domain, ref),
+    ]
+    groups = []
+    for make, t0 in zip(makers, launch):
+        raw = rng.standard_normal((n, d))
+        x0 = rng.uniform(0.0, 1.0, (n, d)) * L
+        policy = make(raw / np.linalg.norm(raw, axis=-1, keepdims=True))
+        policy.prepare(n, t0, 0.0, domain, rng)
+        groups.append((t0, x0, policy))
+    return groups
+
+
+@pytest.mark.parametrize("case", ["dsl-1d", "dsl-2d", "stretched-1d", "half-join-2d",
+                                  "grid-1d", "grid-2d"])
+@pytest.mark.parametrize("launch", [(-1.0,) * 4, (-1.0, -0.35, 0.0, -0.7)],
+                         ids=["one-launch", "mixed-launch"])
+def test_deferred_speed_ratio_equals_the_inline_one(ratio_metrics, case, launch):
+    """Every curve's speed certificate, computed on request from the stored
+    steps, equals the inline per-step one bit for bit; the mixed launches
+    include a group that drops out early and a zero-span group."""
+    m = ratio_metrics[case]
+    inline, trunc_inline = _inline_bundle(m, _ratio_groups(m.domain, launch), 0.0, 0.05)
+    paths, truncated = _integrate_bundle(m, _ratio_groups(m.domain, launch), 0.0, 0.05)
+    assert truncated == trunc_inline
+    positive = 0
+    for (times, points, ratios), path in zip(inline, paths):
+        np.testing.assert_array_equal(path.times, times)
+        np.testing.assert_array_equal(path.points, points)
+        deferred = [path.speed_ratio(i) for i in range(points.shape[1])]
+        assert [r.hex() for r in deferred] == [float(r).hex() for r in ratios]
+        positive += sum(r > 0.0 for r in deferred)
+    assert positive >= 9  # every curve that moved
+
+
+@pytest.mark.parametrize("case", ["dsl-1d", "stretched-1d", "grid-2d"])
+def test_single_curve_ratio_equals_the_inline_one(ratio_metrics, case):
+    """integrate_causal_curve keeps every tenth step, but its certificate
+    covers every step, as the inline one did."""
+    m = ratio_metrics[case]
+    d = m.domain.dimension
+    start = (-1.23, np.full(d, 0.4))
+    direction = np.array([1.0, 0.5][:d])
+    curve = integrate_causal_curve(m, start, direction, 0.0, 0.01)
+    policy = ConstantDirection(direction)
+    policy.prepare(1, start[0], 0.0, m.domain, None)
+    [(times, points, ratios)], _ = _inline_bundle(
+        m, [(start[0], start[1].reshape(1, -1), policy)], 0.0, 0.01, record_every=10
+    )
+    assert times.size == 14  # the launch, every tenth of 123 steps, the last
+    np.testing.assert_array_equal(curve.times, times)
+    np.testing.assert_array_equal(curve.points, points[:, 0, :])
+    assert curve.max_speed_ratio.hex() == float(ratios[0]).hex()
+    # null up to the O(step^2) midpoint bias at this coarse step
+    assert 1.0 - 1e-3 < curve.max_speed_ratio < 1.0 + 1e-3
+
+
+def test_containment_evaluates_four_times_per_step(bundle_cases, monkeypatch):
+    """A passing containment check evaluates the metric once per RK4 stage
+    and nothing more; a failing one adds one evaluation, for its witness's
+    speed certificate."""
+    calls = []
+    eval_ = MetricField.eval
+
+    def counting_eval(self, t, x, check=True):
+        calls.append(np.array(t, dtype=float))
+        return eval_(self, t, x, check)
+
+    monkeypatch.setattr(MetricField, "eval", counting_eval)
+    for case, passes in (("closed-form", True), ("grid", False)):
+        m, j, g0 = bundle_cases[case]
+        for t_range in ((-1.0, -1.0), (-1.2, -0.3)):
+            calls.clear()
+            report = verify_cone_containment(m, j, g0, n_samples=10, seed=4,
+                                             t_start_range=t_range, step=0.05)
+            assert report.passed is passes
+            # the first stage covers every group at its launch time
+            n_steps = round(-calls[0].min() / 0.05)
+            assert len(calls) == 4 * n_steps + (0 if passes else 1)
+            if t_range[0] == t_range[1]:
+                assert n_steps == 20
+            if not passes:
+                assert report.witness.max_speed_ratio > 0.0
 
 
 # -- global hyperbolicity certificate --------------------------------------
