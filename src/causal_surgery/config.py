@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,7 +202,8 @@ def _coords(x) -> dict:
 
 def _compile(text: str, path: str, domain: SpatialDomain, t_only: bool = False):
     """Parse and compile one expression; each t-free subtree that reads x is
-    evaluated once per compiled metric on the domain grid."""
+    evaluated once per compiled metric on the domain grid.  Returns the
+    compiled expression and whether it reads x."""
     try:
         tree = parse_expression(text)
     except Exception as e:
@@ -211,22 +212,27 @@ def _compile(text: str, path: str, domain: SpatialDomain, t_only: bool = False):
     extra = free - ({"t"} if t_only else {"t"} | {f"x{i + 1}" for i in range(domain.dimension)})
     _require(not extra, path,
              f"only t allowed, found {sorted(extra)}" if t_only else f"unknown variables {sorted(extra)}")
-    grid = _coords(domain.grid_points()) if free - {"t"} else None
-    return compile_expression(tree, grid=grid)
-
-
-def _lapse_fn(spec: MetricSpec, domain: SpatialDomain, path: str):
-    run = _compile(spec.lapse, f"{path}.lapse", domain)
-    return lambda t, x: as_shape(run({"t": t, **_coords(x)}, on_grid=domain.is_grid(x)), t.shape)
+    reads_x = bool(free - {"t"})
+    grid = _coords(domain.grid_points()) if reads_x else None
+    return compile_expression(tree, grid=grid), reads_x
 
 
 def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric") -> MetricField:
-    """Instantiate a catalog (or custom) metric over the given domain."""
-    lapse = _lapse_fn(spec, domain, path)
+    """Instantiate a catalog (or custom) metric over the given domain, with
+    its lapse and spatial form declared constant in space where they are."""
+    run, lapse_reads_x = _compile(spec.lapse, f"{path}.lapse", domain)
+
+    def lapse(t, x):
+        return as_shape(run({"t": t, **_coords(x)}, on_grid=domain.is_grid(x)), t.shape)
+
+    return replace(_catalog_metric(spec, domain, path, lapse), lapse_reads_x=lapse_reads_x)
+
+
+def _catalog_metric(spec: MetricSpec, domain: SpatialDomain, path: str, lapse) -> MetricField:
     p = spec.params
     if spec.catalog == "ultrastatic":
         g0 = _g0_field(domain, p, path)
-        return MetricField(domain, lambda t, x: (lapse(t, x), g0.fn(x)))
+        return warped_product(domain, np.ones_like, g0, lapse=lapse)
     if spec.catalog == "flrw_exp":
         rate = p.get("rate", 1.0)
         _require(isinstance(rate, (int, float)) and abs(rate) <= 10.0,
@@ -247,7 +253,7 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
     if spec.catalog == "anisotropic_diag":
         _require(domain.dimension == 2, f"{path}.catalog",
                  "anisotropic_diag needs a 2-dimensional domain")
-        a1, a2 = (_compile(str(p.get(nm, "1")), f"{path}.params.{nm}", domain, t_only=True)
+        a1, a2 = (_compile(str(p.get(nm, "1")), f"{path}.params.{nm}", domain, t_only=True)[0]
                   for nm in ("a1", "a2"))
         g0 = _g0_field(domain, p, path)
 
@@ -259,13 +265,14 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
             scale = np.zeros((tt.shape[0], 2, 2))
             scale[:, 0, 0] = s1 * s1
             scale[:, 1, 1] = s2 * s2
-            return scale * np.asarray(g0.fn(x), float)
+            return np.multiply(scale, g0.matrix, out=np.empty((x.shape[0], 2, 2)))
 
-        return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)))
+        return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)),
+                           spatial_reads_x=False)
     if spec.catalog == "custom":
         d = domain.dimension
         names = ["g11"] if d == 1 else ["g11", "g12", "g22"]
-        runs = {}
+        runs = {}  # name -> (compiled expression, whether it reads x)
         for nm in names:
             _require(nm in p, f"{path}.params.{nm}", "missing spatial entry expression")
             runs[nm] = _compile(str(p[nm]), f"{path}.params.{nm}", domain)
@@ -273,7 +280,7 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
         def spatial(t, x):
             b = {"t": t, **_coords(x)}
             on_grid = domain.is_grid(x)
-            v = {nm: as_shape(run(b, on_grid), t.shape) for nm, run in runs.items()}
+            v = {nm: as_shape(run(b, on_grid), t.shape) for nm, (run, _) in runs.items()}
             out = np.empty((t.shape[0], d, d))
             out[:, 0, 0] = v["g11"]
             if d == 2:
@@ -282,5 +289,6 @@ def build_metric(spec: MetricSpec, domain: SpatialDomain, path: str = "$.metric"
                 out[:, 1, 1] = v["g22"]
             return out
 
-        return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)))
+        return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)),
+                           spatial_reads_x=any(reads_x for _, reads_x in runs.values()))
     raise ConfigError(f"{path}.catalog: unknown catalog entry {spec.catalog!r}")

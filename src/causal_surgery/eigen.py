@@ -10,7 +10,6 @@ which is all the torus domains have, and reject any other d.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .domain import validate_spd
 from .errors import DomainError, ShapeError
@@ -24,6 +23,7 @@ def spd_generalized_max_eigenvalue(A: np.ndarray, B: np.ndarray) -> float:
         raise ShapeError(f"pencil shapes differ: {A.shape} vs {B.shape}")
     if np.max(np.abs(B - B.T)) > 1e-10 * max(np.max(np.abs(B)), 1e-300):
         raise DomainError("pencil matrix B is not symmetric")
+    import scipy.linalg
     vals = scipy.linalg.eigh(B, A, eigvals_only=True)
     return float(vals[-1])
 

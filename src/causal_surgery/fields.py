@@ -29,11 +29,10 @@ The DSL metrics of ``config`` and the smooth majorant do so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
 
 from .domain import SpatialDomain, is_spd_batch
 from .errors import DataError, DomainError, ShapeError
@@ -68,10 +67,10 @@ def single_time(t: np.ndarray) -> bool:
 
 
 def as_shape(a, shape: tuple) -> np.ndarray:
-    """a as a float array of the given shape, broadcast (read-only) only when
-    it does not have that shape already."""
+    """a as a float array of the given shape, filled into a new array only
+    when it does not have that shape already."""
     a = np.asarray(a, dtype=float)
-    return a if a.shape == shape else np.broadcast_to(a, shape)
+    return a if a.shape == shape else np.full(shape, a)
 
 
 def as_batch(t, x, d: int):
@@ -100,14 +99,15 @@ def as_batch(t, x, d: int):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Positive scalar over (t, x)."""
+    """Positive scalar over (t, x); ``value`` is set on a constant field."""
 
     fn: Callable
+    value: float | None = None
 
     @staticmethod
     def constant(value: float) -> "ScalarField":
         v = float(value)
-        return ScalarField(fn=lambda t, x: np.full(np.shape(t), v))
+        return ScalarField(fn=lambda t, x: np.full(np.shape(t), v), value=v)
 
     def __call__(self, t, x, domain: SpatialDomain | None = None):
         xa = np.asarray(x, dtype=float)
@@ -126,21 +126,29 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class SpdField:
-    """SPD-form-valued field over x alone (a Riemannian metric on the torus)."""
+    """SPD-form-valued field over x alone (a Riemannian metric on the torus);
+    ``matrix`` is the (d, d) form of a constant field (read-only)."""
 
     domain: SpatialDomain
     fn: Callable  # x: (n, d) -> (n, d, d)
+    matrix: np.ndarray | None = field(default=None, compare=False)
 
     @staticmethod
     def constant(domain: SpatialDomain, mat: np.ndarray) -> "SpdField":
-        mat = np.asarray(mat, dtype=float)
+        mat = np.array(mat, dtype=float)
         if mat.ndim == 0:
             mat = mat.reshape(1, 1)
         if mat.shape != (domain.dimension, domain.dimension):
             raise ShapeError(
                 f"constant form shape {mat.shape} vs domain dimension {domain.dimension}"
             )
-        return SpdField(domain, lambda x: np.broadcast_to(mat, (x.shape[0],) + mat.shape))
+        mat.setflags(write=False)
+        return SpdField(domain, lambda x: np.full((x.shape[0],) + mat.shape, mat), mat)
+
+    def at(self, x: np.ndarray) -> np.ndarray:
+        """The form at the points x (n, d): (n, d, d), or the (d, d) matrix of
+        a constant field, which broadcasts against any batch."""
+        return self.matrix if self.matrix is not None else np.asarray(self.fn(x), dtype=float)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -154,6 +162,8 @@ class SpdField:
 
     def scaled(self, factor: float) -> "SpdField":
         f = float(factor)
+        if self.matrix is not None:
+            return SpdField.constant(self.domain, f * self.matrix)
         return SpdField(self.domain, lambda x, _fn=self.fn: f * np.asarray(_fn(x)))
 
 
@@ -165,11 +175,16 @@ class MetricField:
     ``(lapse, spatial)``: the lapse (n,) (or anything that broadcasts to it)
     and the spatial form (n, d, d).  It is called without window or value
     checks; ``eval`` adds both.
+    ``lapse_reads_x`` and ``spatial_reads_x`` say whether the lapse and the
+    spatial form depend on x; the default, True, is never wrong.  A layer
+    built with ``dataclasses.replace`` restates any claim its work breaks.
     """
 
     domain: SpatialDomain
     fn: Callable  # (t: (n,), x: (n, d)) -> (lapse (n,), spatial (n, d, d))
     window: tuple[float, float] = (-_INF, _INF)
+    lapse_reads_x: bool = True
+    spatial_reads_x: bool = True
 
     def _check_window(self, t: np.ndarray):
         lo, hi = self.window
@@ -207,8 +222,12 @@ class MetricField:
         return lam, g
 
     def spatial_slice(self, t: float) -> SpdField:
-        """The Riemannian metric g_t at a fixed time, as an SpdField."""
+        """The Riemannian metric g_t at a fixed time, as an SpdField: a
+        constant one, from one point, when the spatial form does not read x."""
         t = float(t)
+        if not self.spatial_reads_x:
+            g = self.fn(np.array([t]), np.zeros((1, self.domain.dimension)))[1]
+            return SpdField.constant(self.domain, g[0])
         return SpdField(
             self.domain,
             lambda x: np.asarray(self.fn(np.full(x.shape[0], t), x)[1], dtype=float),
@@ -218,19 +237,23 @@ class MetricField:
 def ultrastatic_metric(domain: SpatialDomain, h0) -> MetricField:
     """-dt^2 + h0 with time-independent spatial form and unit lapse."""
     h0field = h0 if isinstance(h0, SpdField) else SpdField.constant(domain, h0)
-    return MetricField(domain, lambda t, x: (np.ones_like(t), h0field.fn(x)))
+    return warped_product(domain, np.ones_like, h0field)
 
 
 def warped_product(domain: SpatialDomain, scale: Callable, g0: SpdField,
                    lapse: Callable | None = None) -> MetricField:
-    """-lapse dt^2 + a(t)^2 g0 for a scalar scale factor a(t)."""
+    """-lapse dt^2 + a(t)^2 g0 for a scalar scale factor a(t).
+
+    Its spatial form reads x only if g0 does; a given lapse counts as reading
+    x, and the caller may declare otherwise."""
 
     def fn(t, x):
         lam = np.ones_like(t) if lapse is None else lapse(t, x)
         a = np.asarray(scale(np.asarray(t, float)), float)
-        return lam, (a * a)[:, None, None] * np.asarray(g0.fn(x), float)
+        return lam, (a * a)[:, None, None] * g0.at(x)
 
-    return MetricField(domain, fn)
+    return MetricField(domain, fn, lapse_reads_x=lapse is not None,
+                       spatial_reads_x=g0.matrix is None)
 
 
 def time_reverse(m: MetricField) -> MetricField:
@@ -269,6 +292,7 @@ class _GridSpline:
 
     def __init__(self, domain: SpatialDomain, t_grid: np.ndarray,
                  lapse_samples: np.ndarray, spatial_samples: np.ndarray):
+        from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
         d = domain.dimension
         upper = [(a, b) for a in range(d) for b in range(a, d)]
         # component index of each (a, b) entry of the symmetric spatial form
@@ -315,6 +339,7 @@ class _GridSpline:
         """The spline on the whole domain grid at one time t, (n, components):
         the time axis contracted with one basis row, then one banded basis
         product per spatial axis, from the coefficients the point path uses."""
+        from scipy.interpolate import BSpline
         c = self._spline.c
         row = BSpline.design_matrix(np.array([t]), self._spline.t[0], 3, extrapolate=True)
         c = (row @ c.reshape(c.shape[0], -1)).reshape(c.shape[1:])

@@ -122,11 +122,11 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
     (``causality.reference_field``), evaluated once on the domain grid.
     """
     ref = causality.reference_field(m.domain, j, g0)
-    ref_grid = np.asarray(ref.fn(m.domain.grid_points()), dtype=float)
+    ref_grid = ref.at(m.domain.grid_points())
 
     def fn(t, x):
         lam, g = m.eval(t, x, check=True)
-        refv = ref_grid if m.domain.is_grid(x) else np.asarray(ref.fn(x), dtype=float)
+        refv = ref_grid if m.domain.is_grid(x) else ref.at(x)
         return np.maximum(1.0, lam) * gen_max_eig_batch(g, refv)
 
     return ScalarField(fn=fn)
@@ -530,7 +530,7 @@ def cone_inequality_report(
 ) -> ConeInequalityReport:
     """Grid check of the pointwise cone inequality on the stretched metric."""
     pts = stretched.domain.grid_points()
-    refv = np.asarray(causality.reference_field(stretched.domain, j, g0).fn(pts), dtype=float)
+    refv = causality.reference_field(stretched.domain, j, g0).at(pts)
     ts = np.linspace(t_window[0], t_window[1], n_t)
     lam, g = sample_metric(stretched, ts, pts, check=False)
     scale = float(np.max(np.abs(g)))
@@ -585,7 +585,8 @@ def normalize_conformal(m: MetricField) -> MetricField:
     The factor is s^{-1} on {t <= 0}, 1 on {t >= 1}, blended by the smooth
     unit step in between; the output lapse equals 1 for t <= 0 (up to one
     rounding of s * s^{-1}) and s for t >= 1 (exactly).  The factor is
-    computed from the lapse of the one input evaluation.
+    computed from the lapse of the one input evaluation, so the spatial
+    form reads x if the input's lapse does.
     """
 
     def fn(t, x):
@@ -598,7 +599,7 @@ def normalize_conformal(m: MetricField) -> MetricField:
         f = (1.0 - th) / s + th
         return f * s, f[:, None, None] * np.asarray(g, float)
 
-    return replace(m, fn=fn)
+    return replace(m, fn=fn, spatial_reads_x=m.spatial_reads_x or m.lapse_reads_x)
 
 
 def freeze_past(m: MetricField) -> MetricField:
@@ -612,9 +613,7 @@ def freeze_past(m: MetricField) -> MetricField:
     if lo > 0.0:
         raise DomainError("freeze_past needs the input defined at time 0")
 
-    return MetricField(
-        domain=m.domain, fn=lambda t, x: m.fn(smooth_freeze_ramp(t), x), window=(-INF, hi)
-    )
+    return replace(m, fn=lambda t, x, _f=m.fn: _f(smooth_freeze_ramp(t), x), window=(-INF, hi))
 
 
 def ultrastatic_tail(
@@ -656,8 +655,7 @@ def interpolate_ultrastatic(
     def fn(t, x):
         th = smooth_unit_step(t)
         return np.ones_like(t), (
-            th[:, None, None] * np.asarray(k1.fn(x), float)
-            + (1.0 - th)[:, None, None] * np.asarray(k0.fn(x), float)
+            th[:, None, None] * k1.at(x) + (1.0 - th)[:, None, None] * k0.at(x)
         )
 
     metric = MetricField(domain=u0.domain, fn=fn)

@@ -27,7 +27,6 @@ from causal_surgery import (
 )
 from causal_surgery import causality
 from causal_surgery.causality import (
-    SPEED_CERT_SLACK,
     HoldAtMaxDirection,
     PiecewiseRandomDirection,
     check_isometry_report,
@@ -38,6 +37,10 @@ from causal_surgery.errors import DataError, DomainError, OrderError
 from causal_surgery.fields import grid_sample_metric
 from causal_surgery.surgery import half_join
 from conftest import flrw_exp
+
+# Allowed relative excess of g(kdot,kdot) over lambda in the per-step speed
+# certificate; covers the O(step^2) midpoint-measurement bias at step 1e-3.
+SPEED_CERT_SLACK = 1e-5
 
 
 def _identity_ref(domain):
@@ -98,6 +101,25 @@ def test_ref_distance_row_alone_equals_row_in_batch(distance_refs, case, n, seed
     batch = ref_distance(domain, ref, x0, x1)
     alone = [ref_distance(domain, ref, x0[i], x1[i]) for i in range(n)]
     np.testing.assert_array_equal(np.array(alone), batch)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(dim=st.sampled_from([1, 2]), n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+def test_ref_distance_closed_form_equals_the_quadrature(dim, n, seed):
+    """On a constant form the closed form agrees with the midpoint quadrature
+    (which the same field without its matrix takes) to 1e-13 relative."""
+    domain = SpatialDomain(dim, (2 * np.pi, 4.0)[:dim], (8,) * dim)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    const = SpdField.constant(domain, 10.0 ** rng.uniform(-2, 2) * (a @ a.T + 0.05 * np.eye(dim)))
+    quadrature = SpdField(domain, const.fn)
+    L = np.asarray(domain.circumferences)
+    x0 = rng.uniform(-0.5, 1.5, (n, dim)) * L
+    x1 = rng.uniform(-0.5, 1.5, (n, dim)) * L
+    np.testing.assert_allclose(
+        ref_distance(domain, const, x0, x1), ref_distance(domain, quadrature, x0, x1),
+        rtol=1e-13, atol=0,
+    )
 
 
 # -- curve integration -----------------------------------------------------
@@ -216,6 +238,21 @@ def test_cone_containment_rejects_violating_metric(circle):
         n_samples=40, seed=7, t_start_range=(-2.0, -2.0), step=2e-3,
     )
     np.testing.assert_array_equal(report.witness.points, again.witness.points)
+
+
+def test_cone_containment_fails_on_a_nan_curve(circle):
+    """A lapse that is NaN for t > -0.5 drives the curves to a NaN state: the
+    check fails with such a curve as witness, and the worst margin is not
+    +inf."""
+    m = MetricField(circle, lambda t, x: (np.where(t > -0.5, np.nan, 1.0), np.ones((t.size, 1, 1))))
+    report = verify_cone_containment(
+        m, ScalarField.constant(1.0), _identity_ref(circle), n_samples=8, seed=0, step=0.05,
+    )
+    assert not report.passed
+    assert np.isnan(report.worst_margin)
+    assert report.witness is not None
+    assert not np.isfinite(report.witness.points[-1]).all()
+    assert "non-finite" in report.detail
 
 
 def test_cone_containment_validates_start_range(flrw_circle):

@@ -5,11 +5,14 @@ import importlib.resources
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import causal_surgery
 from causal_surgery import export_fields, load_config, read_metric_dump, run_build
 from causal_surgery.cli import _DEMO_FILES, main
 from causal_surgery.domain import SpatialDomain
@@ -37,6 +40,18 @@ def config_file(tmp_path):
 
 def invoke(*args):
     return CliRunner().invoke(main, list(args))
+
+
+def test_cli_import_loads_numpy_only():
+    """Importing the CLI loads no scipy module: the grid spline and the scalar
+    pencil kernel import it when they first run."""
+    src = os.path.dirname(os.path.dirname(causal_surgery.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, causal_surgery.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # -- exit codes ------------------------------------------------------------
