@@ -448,6 +448,8 @@ class ConeContainmentReport:
     detail: str = ""
 
 
+# a curve that reaches +-inf goes NaN (inf - inf, inf % L) and is the witness
+@np.errstate(invalid="ignore")
 def verify_cone_containment(
     m: MetricField,
     j: ScalarField,

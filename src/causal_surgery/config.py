@@ -258,14 +258,15 @@ def _catalog_metric(spec: MetricSpec, domain: SpatialDomain, path: str, lapse) -
         g0 = _g0_field(domain, p, path)
 
         def spatial(t, x):
-            # the 2x2 scale depends on t alone: one row on a one-time batch
+            # the 2x2 form depends on t alone: one row on a one-time batch
             tt = t[:1] if single_time(t) else t
             s1 = as_shape(a1({"t": tt}), tt.shape)
             s2 = as_shape(a2({"t": tt}), tt.shape)
             scale = np.zeros((tt.shape[0], 2, 2))
             scale[:, 0, 0] = s1 * s1
             scale[:, 1, 1] = s2 * s2
-            return np.multiply(scale, g0.matrix, out=np.empty((x.shape[0], 2, 2)))
+            g = scale * g0.matrix
+            return g if g.shape[0] == x.shape[0] else np.repeat(g, x.shape[0], axis=0)
 
         return MetricField(domain, lambda t, x: (lapse(t, x), spatial(t, x)),
                            spatial_reads_x=False)

@@ -45,22 +45,23 @@ class SpatialDomain:
         return np.arange(n) * (self.circumferences[axis] / n)
 
     def grid_points(self) -> np.ndarray:
-        """All grid points as an (N, d) array, row-major over axes."""
-        axes = [self.axis_coords(i) for i in range(self.dimension)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        """All grid points as a read-only (N, d) array, row-major over axes,
+        built once per domain."""
+        return self._grid
 
     @cached_property
     def _grid(self) -> np.ndarray:
-        g = self.grid_points()
+        mesh = np.meshgrid(*[self.axis_coords(i) for i in range(self.dimension)], indexing="ij")
+        g = np.stack([m.ravel() for m in mesh], axis=-1)
         g.setflags(write=False)
         return g
 
     def is_grid(self, x: np.ndarray) -> bool:
         """Whether the points x (n, d) are this domain's grid, in grid order
-        (compared as numbers, so -0.0 matches 0.0)."""
+        (compared as numbers, so -0.0 matches 0.0); at once for the array
+        ``grid_points`` returns."""
         g = self._grid
-        return x.shape == g.shape and np.array_equal(x, g)
+        return x is g or (x.shape == g.shape and np.array_equal(x, g))
 
     @property
     def n_points(self) -> int:

@@ -24,7 +24,8 @@ A lattice slice is a batch with one time (``single_time``) at the domain
 grid (``SpatialDomain.is_grid``), and a layer may evaluate it separably,
 bit for bit: work that depends on t alone is done once per slice on one
 element, and work that depends on x alone once per grid and read back.
-The DSL metrics of ``config`` and the smooth majorant do so.
+The DSL metrics of ``config`` and the smooth majorant do so, and a spatial
+form declared constant in x is checked, and its pencil solved, once per slice.
 """
 from __future__ import annotations
 
@@ -211,7 +212,8 @@ class MetricField:
                 raise DataError(
                     f"non-positive lapse {lam[i]} at t={tb[i]}, x={xb[i].tolist()}"
                 )
-            ok = is_spd_batch(g)
+            # a form declared constant in x is one matrix on a one-time batch
+            ok = is_spd_batch(g[:1] if not self.spatial_reads_x and single_time(tb) else g)
             if not ok.all():
                 i = int(np.argmax(~ok))
                 raise DataError(

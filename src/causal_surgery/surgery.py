@@ -120,6 +120,8 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
     of the pencil (j g_0, g_t), i.e. the supremum of (j g_0)(v,v) / g_t(v,v)
     over directions v.  The reference j g_0 is the one every certificate uses
     (``causality.reference_field``), evaluated once on the domain grid.
+    A g_t declared constant in x enters a one-time batch as one row, so
+    against a constant j g_0 the batch solves one pencil.
     """
     ref = causality.reference_field(m.domain, j, g0)
     ref_grid = ref.at(m.domain.grid_points())
@@ -127,6 +129,8 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
     def fn(t, x):
         lam, g = m.eval(t, x, check=True)
         refv = ref_grid if m.domain.is_grid(x) else ref.at(x)
+        if not m.spatial_reads_x and single_time(t):
+            g = g[:1]
         return np.maximum(1.0, lam) * gen_max_eig_batch(g, refv)
 
     return ScalarField(fn=fn)

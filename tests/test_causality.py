@@ -240,11 +240,12 @@ def test_cone_containment_rejects_violating_metric(circle):
     np.testing.assert_array_equal(report.witness.points, again.witness.points)
 
 
-def test_cone_containment_fails_on_a_nan_curve(circle):
-    """A lapse that is NaN for t > -0.5 drives the curves to a NaN state: the
-    check fails with such a curve as witness, and the worst margin is not
-    +inf."""
-    m = MetricField(circle, lambda t, x: (np.where(t > -0.5, np.nan, 1.0), np.ones((t.size, 1, 1))))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cone_containment_fails_on_a_nan_curve(circle, bad):
+    """A lapse that is NaN (or +inf) for t > -0.5 drives the curves to a
+    non-finite state: the check fails, without a warning, with such a curve
+    as witness, and the worst margin is not +inf."""
+    m = MetricField(circle, lambda t, x: (np.where(t > -0.5, bad, 1.0), np.ones((t.size, 1, 1))))
     report = verify_cone_containment(
         m, ScalarField.constant(1.0), _identity_ref(circle), n_samples=8, seed=0, step=0.05,
     )

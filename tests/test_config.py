@@ -211,7 +211,7 @@ def test_grid_cache_is_bit_identical_to_a_fresh_metric(spec, dom2):
 
 def test_grid_cached_values_are_read_only(dom2):
     m = build_metric(_LATTICE_2D, dom2)
-    grid = dom2.grid_points()
+    grid = dom2.grid_points().copy()  # the domain's own grid is read-only
     lam, _ = m.fn(np.full(grid.shape[0], 0.5), grid)
     with pytest.raises(ValueError):
         lam[0] = 1.0
@@ -225,6 +225,7 @@ def test_grid_cached_values_are_read_only(dom2):
 
 def test_is_grid_matches_only_the_grid_in_grid_order(dom2):
     grid = dom2.grid_points()
+    assert grid is dom2.grid_points() and not grid.flags.writeable
     assert dom2.is_grid(grid) and dom2.is_grid(grid.copy())
     assert not dom2.is_grid(grid[:-1])
     assert not dom2.is_grid(grid[::-1])

@@ -1,8 +1,11 @@
 """Declared spatial constancy: which metric layers claim that their lapse or
 spatial form does not read x, that every claim holds bit for bit on the
-domain grid, and that the certified reference of constant inputs is one
-matrix."""
+domain grid, that the certified reference of constant inputs is one
+matrix, and that a declared slice is checked and its pencil solved once,
+with the values and errors of the pointwise path."""
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +27,10 @@ from causal_surgery import (
     time_shift,
     warped_product,
 )
+from causal_surgery import surgery
 from causal_surgery.causality import reference_field
-from causal_surgery.fields import grid_sample_metric
+from causal_surgery.errors import DataError
+from causal_surgery.fields import grid_sample_metric, sample_metric
 
 _DOMAINS = {
     1: SpatialDomain(1, (2 * np.pi,), (12,)),
@@ -64,6 +69,14 @@ _STACKS = {
 
 def _bits(a: np.ndarray) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def _outcome(fn, *args) -> bytes | str:
+    """The bits of fn(*args), or the text of the DataError it raises."""
+    try:
+        return _bits(fn(*args))
+    except DataError as e:
+        return str(e)
 
 
 @pytest.mark.parametrize("lapse", list(_LAPSES))
@@ -132,3 +145,68 @@ def test_constant_reference_is_one_matrix(dim):
     assert _bits(ref.fn(grid)) == _bits(pointwise.fn(grid))
     assert _bits(ref.at(grid)) == _bits(ref.fn(grid)[0])
     assert _bits(ref.scaled(3.0).matrix) == _bits(SpdField(domain, ref.fn).scaled(3.0).fn(grid)[0])
+
+
+@pytest.mark.parametrize("lapse", list(_LAPSES))
+@pytest.mark.parametrize("entry", _CATALOG, ids=[f"{c[0]}-{c[1]}d-{i}" for i, c in enumerate(_CATALOG)])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(stack=st.sampled_from(sorted(_STACKS)), t=st.floats(-3.0, 3.0))
+def test_declared_pencil_equals_the_pointwise_one_bit_for_bit(entry, lapse, stack, t):
+    """On a lattice slice, the cone-bound factor of a declared metric (one
+    pencil) equals that of the same metric undeclared (a pencil per point),
+    or raises the same error, also against a reference that reads x; and
+    the one-row fill of the spatial form equals its rows in a batch of
+    several times."""
+    catalog, dim, params, _ = entry
+    domain = _DOMAINS[dim]
+    base = build_metric(MetricSpec(catalog, params, lapse), domain)
+    m = _STACKS[stack][0](base)
+    g0 = base.spatial_slice(0.0)
+    grid, n = domain.grid_points(), domain.n_points
+    tt = np.full(n, t)
+    for j in (ScalarField.constant(0.8), ScalarField(lambda t, x: 0.8 + 0.1 * np.sin(x[:, 0]))):
+        declared = _outcome(cone_bound_factor(m, j, g0).fn, tt, grid)
+        pointwise = _outcome(cone_bound_factor(replace(m, spatial_reads_x=True), j, g0).fn, tt, grid)
+        assert declared == pointwise
+    g_slice = m.fn(tt, grid)[1]
+    g_mixed = m.fn(np.append(tt, t + 0.5), np.concatenate([grid, grid[:1]]))[1]
+    assert _bits(g_slice) == _bits(g_mixed[:n])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(t=st.floats(1.0, 3.0, exclude_min=True))
+def test_declared_form_that_is_not_spd_raises_the_pointwise_error(dim, t):
+    """A declared form checked on one row names the same first bad point,
+    in the same words, as the check of every row."""
+    domain = _DOMAINS[dim]
+    params = {"g11": "1 - t"} if dim == 1 else {"g11": "1 - t", "g12": "0", "g22": "1"}
+    m = build_metric(MetricSpec("custom", params, "1 + 0.25*sin(x1)"), domain)
+    assert not m.spatial_reads_x
+    messages = []
+    for layer in (m, replace(m, spatial_reads_x=True)):
+        with pytest.raises(DataError) as err:
+            sample_metric(layer, [0.5, t])
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"spatial form not SPD at t={t}, x=")
+
+
+def test_the_pencil_kernel_gets_one_matrix_per_declared_slice(monkeypatch):
+    """Every pencil the theorem-1 factor solves for a declared metric is a
+    single matrix; undeclared, each is one per grid point."""
+    domain = _DOMAINS[2]
+    m = build_metric(MetricSpec("anisotropic_diag", {"a1": "exp(t)", "a2": "(1 + t^2)^(1/2)"},
+                                "1 + 0.25*sin(x1)*cos(t)"), domain)
+    sizes = []
+    kernel = surgery.gen_max_eig_batch
+
+    def counting(A, B):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(A), np.shape(B))[:-2])))
+        return kernel(A, B)
+
+    monkeypatch.setattr(surgery, "gen_max_eig_batch", counting)
+    for layer, per_slice in ((m, 1), (replace(m, spatial_reads_x=True), domain.n_points)):
+        sizes.clear()
+        surgery.make_globally_hyperbolic(layer, t_window=(-1.0, 1.0), verify=False)
+        assert len(sizes) > 100 and set(sizes) == {per_slice}
