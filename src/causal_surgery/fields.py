@@ -38,28 +38,7 @@ import numpy as np
 from .domain import SpatialDomain, is_spd_batch
 from .errors import DataError, DomainError, ShapeError
 
-CONSTANT_IN_T = "constant-in-t"
-IDENTICALLY_ONE = "identically-one"
-
 _INF = math.inf
-
-
-@dataclass(frozen=True)
-class PlateauConstraint:
-    """A time interval on which a scalar field is constant in t, or exactly 1."""
-
-    t_lo: float
-    t_hi: float
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (CONSTANT_IN_T, IDENTICALLY_ONE):
-            raise DomainError(f"unknown plateau kind {self.kind!r}")
-        if not self.t_lo < self.t_hi:
-            raise DomainError("plateau interval must be nondegenerate")
-
-    def overlaps(self, other: "PlateauConstraint") -> bool:
-        return self.t_lo < other.t_hi and other.t_lo < self.t_hi
 
 
 def single_time(t: np.ndarray) -> bool:

@@ -16,7 +16,7 @@ from . import causality, surgery
 from .config import ScenarioConfig, build_metric
 from .domain import SpatialDomain
 from .errors import FormatError
-from .fields import MetricField, grid_metric, sample_metric
+from .fields import MetricField, ScalarField, grid_metric, sample_metric
 from .surgery import JoinArtifact, StretchResult
 
 EXIT_OK = 0
@@ -290,15 +290,16 @@ def _certified_reference(pipeline: str, g: MetricField):
     the input metric g, or None for ``join_pair``, whose output on t <= 0 is
     the time-reversed h half, which no certified reference covers.
 
-    theorem1 certifies against g's slice at 0; join_ultrastatic against the
-    slice at 0 of its half's input, freeze_past(normalize_conformal(g)).
+    Both certify against j = 1, as ``make_globally_hyperbolic`` does:
+    theorem1 with g's slice at 0; join_ultrastatic with the slice at 0 of
+    its half's input, freeze_past(normalize_conformal(g)).
     """
     if pipeline == "join_pair":
         return None
     if pipeline == "join_ultrastatic":
         g = surgery.freeze_past(surgery.normalize_conformal(g))
     g0 = g.spatial_slice(0.0)
-    return surgery.completeness_factor(g.domain, g0), g0
+    return ScalarField.constant(1.0), g0
 
 
 def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:

@@ -28,10 +28,7 @@ from .errors import (
     SpliceError,
 )
 from .fields import (
-    CONSTANT_IN_T,
-    IDENTICALLY_ONE,
     MetricField,
-    PlateauConstraint,
     ScalarField,
     SpdField,
     as_shape,
@@ -95,22 +92,8 @@ def _stage(name: str):
 
 
 # ---------------------------------------------------------------------------
-# Theorem-1 side: completeness factor, cone bound, smooth majorant, stretch
+# Theorem-1 side: cone bound, smooth majorant, stretch
 # ---------------------------------------------------------------------------
-
-
-def completeness_factor(
-    domain: SpatialDomain, g0: SpdField, override: ScalarField | None = None
-) -> ScalarField:
-    """Positive j with j*g0 complete.
-
-    On a compact torus every metric is complete, so the constant 1 works; a
-    caller-supplied override is accepted verbatim and threaded through all
-    later inequalities unchanged.
-    """
-    if override is not None:
-        return override
-    return ScalarField.constant(1.0)
 
 
 def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarField:
@@ -139,22 +122,29 @@ def cone_bound_factor(m: MetricField, j: ScalarField, g0: SpdField) -> ScalarFie
 class _MajorantField:
     """Smooth majorant of a positive scalar field.
 
-    Node values on a time lattice of spacing MAJORANT_NODE_SPACING hold
+    Node values on a time lattice of spacing h = MAJORANT_NODE_SPACING hold
     (1 + MAJORANT_EPS) times the maximum of the lower bound over the two
     adjacent slabs, sampled on the spatial grid, at each grid point and its
     wrapped neighbours.  A point blends the nodes at the corners of its
     space-time cell with the smooth unit step along time and every spatial
     axis, so every value is a convex combination of positive node values;
     a node constant in space is one float and is never blended in space.
-    Plateau constraints are realized by exact overwrite: constant-in-t
-    regions return their node directly, identically-one regions return 1.0.
+
+    Two plateaus are exact.  With ``constant_before`` the plateau node is
+    K = floor(constant_before / h): it holds the lower bound's row at
+    (K - 1) h and slab K, every node below it is node K, and every t <= K h
+    returns it directly.  With ``one_after`` every t >= one_lo =
+    h floor(one_after / h) returns 1.0, ramped in by the smooth unit step
+    over [one_lo - h, one_lo]; a ramp that starts inside the constant past
+    raises ConstraintError.
     """
 
     def __init__(
         self,
         lower: ScalarField,
         domain: SpatialDomain,
-        constraints: tuple[PlateauConstraint, ...],
+        constant_before: float | None = None,
+        one_after: float | None = None,
     ):
         h = MAJORANT_NODE_SPACING
         self.lower = lower
@@ -162,37 +152,30 @@ class _MajorantField:
         self.grid = domain.grid_points()
         self._slab_max: dict[int, np.ndarray] = {}
         self._nodes: dict[int, float | np.ndarray] = {}
-        self._rep: dict[int, float | np.ndarray] = {}
-        self._grid_nodes: dict = {}
-
-        # snapped plateau regions (inward for constant, outward for one)
-        self.const_regions: list[tuple[float, float]] = []
-        self.one_regions: list[tuple[float, float]] = []
-        for c in constraints:
-            if c.kind == CONSTANT_IN_T:
-                lo = -INF if c.t_lo == -INF else h * np.ceil(c.t_lo / h)
-                hi = INF if c.t_hi == INF else h * np.floor(c.t_hi / h)
-                if lo >= hi:
-                    raise ConstraintError(
-                        f"constant-in-t interval [{c.t_lo}, {c.t_hi}] too narrow "
-                        f"for node spacing {h}"
-                    )
-                self.const_regions.append((lo, hi))
-            else:
-                lo = -INF if c.t_lo == -INF else h * np.floor(c.t_lo / h)
-                hi = INF if c.t_hi == INF else h * np.ceil(c.t_hi / h)
-                self.one_regions.append((lo, hi))
+        self._grid_nodes: dict[int, float | np.ndarray] = {}
+        self.K = None if constant_before is None else int(np.floor(constant_before / h))
+        self.const_end = -INF if self.K is None else self.K * h
+        self.one_lo = None if one_after is None else h * np.floor(one_after / h)
+        if self.one_lo is not None and self.one_lo - h < self.const_end:
+            raise ConstraintError(
+                f"identically-one plateau from t={one_after} ramps in from "
+                f"t={self.one_lo - h}, inside the constant-in-t plateau up to "
+                f"t={self.const_end}; the plateaus must not overlap"
+            )
 
     # -- node machinery ----------------------------------------------------
 
     def _lower_on_grid(self, ts) -> np.ndarray:
-        """The lower bound on ts x the spatial grid, (nt, n), checked positive."""
+        """The lower bound on ts x the spatial grid, (nt, n), checked finite
+        and positive."""
         ts = np.asarray(ts, dtype=float)
         v = sample_metric(self.lower, ts, self.grid)
-        if np.any(v <= 0):
-            k, i = np.unravel_index(np.argmax(v <= 0), v.shape)
+        bad = ~(np.isfinite(v) & (v > 0))
+        if np.any(bad):
+            k, i = np.unravel_index(np.argmax(bad), v.shape)
             raise DomainError(
-                f"lower bound not positive at t={ts[k]}, x={self.grid[i].tolist()}"
+                f"lower bound {v[k, i]!r} not finite and positive at t={ts[k]}, "
+                f"x={self.grid[i].tolist()}"
             )
         return v
 
@@ -213,31 +196,19 @@ class _MajorantField:
             a = np.maximum(a, np.maximum(np.roll(a, 1, ax), np.roll(a, -1, ax)))
         return (1.0 + MAJORANT_EPS) * a.ravel()
 
-    def _rep_value(self, i: int) -> float | np.ndarray:
-        """Shared node for a constant-in-t region."""
-        if i not in self._rep:
-            h = MAJORANT_NODE_SPACING
-            lo, hi = self.const_regions[i]
-            # lower is constant in t on the region: one interior sample row
-            # plus the boundary slabs that the edge nodes must still cover
-            t0 = hi - h if lo == -INF else lo
-            vals = [self._lower_on_grid([t0])[0]]
-            if lo != -INF:
-                vals.append(self._slab(int(round(lo / h)) - 1))
-            if hi != INF:
-                vals.append(self._slab(int(round(hi / h))))
-            self._rep[i] = self._node_value(np.stack(vals).max(axis=0))
-        return self._rep[i]
-
     def _node(self, k: int) -> float | np.ndarray:
+        """Node k; every node below the plateau node K is node K."""
+        if self.K is not None and k <= self.K:
+            k = self.K
         if k not in self._nodes:
-            t = k * MAJORANT_NODE_SPACING
-            regions = enumerate(self.const_regions)
-            i = next((i for i, (lo, hi) in regions if lo <= t <= hi), None)
-            if i is not None:
-                self._nodes[k] = self._rep_value(i)
+            if k == self.K:
+                # lower is constant in t before K h: one sample row stands for
+                # the plateau, and slab K is still covered by node K
+                row = self._lower_on_grid([(k - 1) * MAJORANT_NODE_SPACING])[0]
+                v = np.maximum(row, self._slab(k))
             else:
-                self._nodes[k] = self._node_value(np.maximum(self._slab(k - 1), self._slab(k)))
+                v = np.maximum(self._slab(k - 1), self._slab(k))
+            self._nodes[k] = self._node_value(v)
         return self._nodes[k]
 
     def _in_space(self, x: np.ndarray, *nodes):
@@ -253,12 +224,11 @@ class _MajorantField:
     def _grid_cells(self):
         return self._cells(self.grid)
 
-    def _grid_node(self, key, node: float | np.ndarray) -> float | np.ndarray:
-        """A node blended over the domain grid, once per key: the node index
-        k, or ("rep", i) for the shared node of constant-in-t region i."""
-        if key not in self._grid_nodes:
-            self._grid_nodes[key] = self._in_space(self.grid, node)[0]
-        return self._grid_nodes[key]
+    def _grid_node(self, k: int) -> float | np.ndarray:
+        """Node k blended over the domain grid, once per k."""
+        if k not in self._grid_nodes:
+            self._grid_nodes[k] = self._in_space(self.grid, self._node(k))[0]
+        return self._grid_nodes[k]
 
     def _cells(self, x: np.ndarray):
         """Flat node indices (2^d, n) of the corners of each point's grid
@@ -279,16 +249,10 @@ class _MajorantField:
     # -- evaluation --------------------------------------------------------
 
     def _one_weight(self, t: np.ndarray) -> np.ndarray:
+        if self.one_lo is None:
+            return np.zeros_like(t)
         h = MAJORANT_NODE_SPACING
-        w = np.zeros_like(t)
-        for lo, hi in self.one_regions:
-            wi = np.ones_like(t)
-            if lo != -INF:
-                wi = wi * smooth_unit_step((t - (lo - h)) / h)
-            if hi != INF:
-                wi = wi * smooth_unit_step(((hi + h) - t) / h)
-            w = np.maximum(w, wi)
-        return w
+        return smooth_unit_step((t - (self.one_lo - h)) / h)
 
     def _slice(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The majorant at one time, t a one-element array, on the points x:
@@ -301,16 +265,14 @@ class _MajorantField:
             out[:] = 1.0
             return out
         on_grid = self.domain.is_grid(x)
-        for i, (lo, hi) in enumerate(self.const_regions):
-            if lo <= t[0] <= hi:
-                rep = self._rep_value(i)
-                out[:] = self._grid_node(("rep", i), rep) if on_grid else self._in_space(x, rep)[0]
-                return out
+        if t[0] <= self.const_end:
+            out[:] = self._grid_node(self.K) if on_grid else self._in_space(x, self._node(self.K))[0]
+            return out
         k = np.floor(t / h).astype(int)
         u = smooth_unit_step(t / h - k)
         kk = int(k[0])
         if on_grid:
-            a, b = self._grid_node(kk, self._node(kk)), self._grid_node(kk + 1, self._node(kk + 1))
+            a, b = self._grid_node(kk), self._grid_node(kk + 1)
         else:
             a, b = self._in_space(x, self._node(kk), self._node(kk + 1))
         v = (1.0 - u) * a + u * b
@@ -326,20 +288,17 @@ class _MajorantField:
         if single_time(t):
             return self._slice(t[:1], x)
         out = np.empty_like(t)
-        done = np.zeros(t.shape, dtype=bool)
 
-        # identically-one plateaus, bit-exact
+        # the identically-one plateau, bit-exact
         w = self._one_weight(t)
-        exact_one = w >= 1.0
-        out[exact_one] = 1.0
-        done |= exact_one
+        done = w >= 1.0
+        out[done] = 1.0
 
-        # constant-in-t plateaus, bit-exact node value
-        for i, (lo, hi) in enumerate(self.const_regions):
-            mask = (~done) & (t >= lo) & (t <= hi)
-            if mask.any():
-                out[mask] = self._in_space(x[mask], self._rep_value(i))[0]
-                done[mask] = True
+        # the constant past (which the ramp never reaches), bit-exact node K
+        past = t <= self.const_end
+        if past.any():
+            out[past] = self._in_space(x[past], self._node(self.K))[0]
+            done |= past
 
         # generic blend between adjacent nodes
         rest = ~done
@@ -353,7 +312,7 @@ class _MajorantField:
                 mk = k == kk
                 a, b = self._in_space(xr[mk], self._node(int(kk)), self._node(int(kk) + 1))
                 v[mk] = (1.0 - u[mk]) * a + u[mk] * b
-            # blend into identically-one plateaus
+            # blend into the identically-one plateau
             wr = w[rest]
             ramp = wr > 0.0
             v[ramp] = (1.0 - wr[ramp]) * v[ramp] + wr[ramp]
@@ -363,53 +322,49 @@ class _MajorantField:
 
 def smooth_majorant(
     lower: ScalarField,
-    constraints,
     domain: SpatialDomain,
     t_window: tuple[float, float] | None = None,
+    *,
+    constant_before: float | None = None,
+    one_after: float | None = None,
 ) -> ScalarField:
-    """Smooth f > 0 with f >= lower at the sampled nodes, satisfying the
-    plateau constraints exactly.
+    """Smooth f > 0 with f >= lower at the sampled nodes, constant in t
+    before ``constant_before`` and exactly 1 from ``one_after`` on.
 
     With h = MAJORANT_NODE_SPACING and eps = MAJORANT_EPS, for t in the time
     slab [k h, (k+1) h] and x in a grid cell:
     - f(t, x) >= (1 + eps) * lower at every sample of the slab at every
-      corner of the cell (off identically-one ramps, which only raise f
-      toward 1);
+      corner of the cell (off the ramp into the one plateau, which only
+      raises f toward 1);
     - 0 < f(t, x) <= max{1, (1 + eps) * M}, where M is the maximum of the
       sampled lower bound over [t - 2h, t + 2h] at the grid points within
-      two cells of x per axis; a node inside a constant-in-t plateau adds
-      the plateau's sample row and edge slabs to M, and the 1 enters only
-      on identically-one plateaus and their ramps.
-    Inconsistent constraints (or plateau overwrites that dip below the lower
-    bound) raise ConstraintError naming the violating sample.
+      two cells of x per axis; the plateau node of the constant past adds
+      its sample row to M, and the 1 enters only on the one plateau and its
+      ramp.
+    Both plateaus are snapped to the node lattice (the constant past inward,
+    the one plateau outward) and must not overlap.  Overlapping plateaus, or
+    plateaus that dip below the lower bound on the rechecked spans (the one
+    ramp plus 4, the edge of the constant past, and ``t_window``), raise
+    ConstraintError naming the violating sample; a lower-bound sample that
+    is not finite and positive raises DomainError.
     """
-    constraints = tuple(constraints)
-    for i, a in enumerate(constraints):
-        for b in constraints[i + 1 :]:
-            if a.kind == b.kind and a.overlaps(b):
-                raise ConstraintError(f"overlapping plateau constraints {a} and {b}")
-    f = ScalarField(fn=_MajorantField(lower, domain, constraints))
+    f = ScalarField(fn=_MajorantField(lower, domain, constant_before, one_after))
     _recheck_majorant(f, lower, domain, t_window)
     return f
 
 
 def _recheck_majorant(f, lower, domain, t_window):
-    """Post-hoc inequality check around plateau overwrites (and the window)."""
+    """Post-hoc inequality check around the plateaus (and the window)."""
     maj = f.fn
     h = MAJORANT_NODE_SPACING
     grid = domain.grid_points()
     spans: list[tuple[float, float]] = []
-    for lo, hi in maj.one_regions:
-        # blend ramps plus a finite stretch of the plateau (where f == 1,
+    if maj.one_lo is not None:
+        # the blend ramp plus a finite stretch of the plateau (where f == 1,
         # so the check is really "lower <= 1 there")
-        span_lo = lo - h if lo != -INF else (hi if hi != INF else 0.0) - 4.0
-        span_hi = hi + h if hi != INF else (lo if lo != -INF else 0.0) + 4.0
-        spans.append((span_lo, span_hi))
-    for lo, hi in maj.const_regions:
-        if lo != -INF:
-            spans.append((lo - h, lo + h))
-        if hi != INF:
-            spans.append((hi - h, hi + h))
+        spans.append((maj.one_lo - h, maj.one_lo + 4.0))
+    if maj.K is not None:
+        spans.append((maj.const_end - h, maj.const_end + h))
     if t_window is not None:
         spans.append((float(t_window[0]), float(t_window[1])))
     ts = np.concatenate([np.empty(0)] + [
@@ -419,7 +374,8 @@ def _recheck_majorant(f, lower, domain, t_window):
     ])
     fv = sample_metric(f, ts, grid)
     lv = sample_metric(lower, ts, grid)
-    bad = fv < lv * (1.0 - 1e-12)
+    # a NaN on either side fails
+    bad = ~(fv >= lv * (1.0 - 1e-12))
     if np.any(bad):
         k, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise ConstraintError(
@@ -435,8 +391,9 @@ def stretch_metric(m: MetricField, f: ScalarField) -> MetricField:
     def fn(t, x):
         lam, g = m.fn(t, x)
         fv = as_shape(f.fn(t, x), t.shape)
-        if (fv <= 0).any():
-            i = int(np.argmax(fv <= 0))
+        bad = ~(fv > 0)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise DomainError(
                 f"conformal factor {fv[i]} not positive at t={t[i]}, x={x[i].tolist()}"
             )
@@ -478,24 +435,25 @@ def make_globally_hyperbolic(
 ) -> StretchResult:
     """Stretch the spatial part so every causal cone fits inside j g_0.
 
-    Composite of completeness_factor -> cone_bound_factor -> smooth_majorant
-    -> stretch_metric.  If the input is constant in t in the past, the factor
-    is too; with ``already_gh_after=a`` the factor is pinned to 1 on (a, inf).
+    Composite of cone_bound_factor -> smooth_majorant -> stretch_metric,
+    with j = 1 unless given.  If the input is constant in t in the past, the
+    factor is too; with ``already_gh_after=a`` the factor is pinned to 1 on
+    (a, inf).
     """
     with _stage("completeness_factor"):
         if g0 is None:
             g0 = m.spatial_slice(0.0)
         if j is None:
-            j = completeness_factor(m.domain, g0)
+            # on a compact torus every metric is complete
+            j = ScalarField.constant(1.0)
     with _stage("cone_bound_factor"):
         lower = cone_bound_factor(m, j, g0)
-    constraints = []
-    if _constant_in_past(m, upto=0.0):
-        constraints.append(PlateauConstraint(-INF, 0.0, CONSTANT_IN_T))
-    if already_gh_after is not None:
-        constraints.append(PlateauConstraint(float(already_gh_after), INF, IDENTICALLY_ONE))
+    constant_before = 0.0 if _constant_in_past(m) else None
     with _stage("smooth_majorant"):
-        f = smooth_majorant(lower, constraints, m.domain, t_window=t_window)
+        f = smooth_majorant(
+            lower, m.domain, t_window,
+            constant_before=constant_before, one_after=already_gh_after,
+        )
     with _stage("stretch_metric"):
         stretched = stretch_metric(m, f)
     certificates = {}

@@ -13,7 +13,6 @@ from causal_surgery import (
     SpatialDomain,
     SpdField,
     asymptotic_join,
-    completeness_factor,
     cone_bound_factor,
     freeze_past,
     interpolate_ultrastatic,
@@ -34,12 +33,7 @@ from causal_surgery.errors import (
     ShapeError,
     SpliceError,
 )
-from causal_surgery.fields import (
-    CONSTANT_IN_T,
-    IDENTICALLY_ONE,
-    PlateauConstraint,
-    warped_product,
-)
+from causal_surgery.fields import warped_product
 from causal_surgery.surgery import (
     MAJORANT_EPS,
     MAJORANT_NODE_SPACING,
@@ -54,11 +48,11 @@ INF = float("inf")
 # -- completeness and cone bound -------------------------------------------
 
 
-def test_completeness_factor_defaults_to_one(circle):
-    j = completeness_factor(circle, SpdField.constant(circle, np.eye(1)))
-    assert j(0.0, 0.5) == 1.0
-    override = ScalarField.constant(3.0)
-    assert completeness_factor(circle, None, override=override) is override
+def test_make_globally_hyperbolic_takes_j_one_unless_given(circle):
+    m = flrw_exp(circle)
+    assert make_globally_hyperbolic(m, verify=False).j(0.0, 0.5) == 1.0
+    j = ScalarField.constant(3.0)
+    assert make_globally_hyperbolic(m, j=j, verify=False).j is j
 
 
 def test_cone_bound_factor_flrw_closed_form(circle):
@@ -89,7 +83,7 @@ def test_cone_bound_factor_respects_lapse(circle):
 
 def test_majorant_dominates_lower_bound(circle):
     lower = ScalarField(fn=lambda t, x: np.exp(-2 * t))
-    f = smooth_majorant(lower, (), circle, t_window=(-3, 3))
+    f = smooth_majorant(lower, circle, t_window=(-3, 3))
     t = np.linspace(-3, 3, 301)
     x = np.zeros((301, 1))
     assert np.all(f(t, x) >= np.exp(-2 * t))
@@ -97,7 +91,7 @@ def test_majorant_dominates_lower_bound(circle):
 
 def test_majorant_is_locally_bounded(circle):
     lower = ScalarField(fn=lambda t, x: np.exp(-2 * t))
-    f = smooth_majorant(lower, (), circle, t_window=(-3, 3))
+    f = smooth_majorant(lower, circle, t_window=(-3, 3))
     t = np.linspace(-3, 3, 301)
     vals = f(t, np.zeros((301, 1)))
     # node construction keeps the majorant within a slab-sized lookback
@@ -106,9 +100,7 @@ def test_majorant_is_locally_bounded(circle):
 
 def test_majorant_identically_one_plateau_is_exact(circle):
     lower = ScalarField(fn=lambda t, x: np.minimum(np.exp(-2 * t), 1.0) * 0.5)
-    f = smooth_majorant(
-        lower, (PlateauConstraint(1.0, INF, IDENTICALLY_ONE),), circle, t_window=(-3, 3)
-    )
+    f = smooth_majorant(lower, circle, t_window=(-3, 3), one_after=1.0)
     t = np.linspace(1.0, 8.0, 50)
     np.testing.assert_array_equal(f(t, np.zeros((50, 1))), np.ones(50))
     # still a majorant on the ramp into the plateau
@@ -118,9 +110,7 @@ def test_majorant_identically_one_plateau_is_exact(circle):
 
 def test_majorant_constant_in_t_plateau_is_exact(circle):
     lower = ScalarField(fn=lambda t, x: np.exp(2 * np.minimum(t, 0.0)))
-    f = smooth_majorant(
-        lower, (PlateauConstraint(-INF, 0.0, CONSTANT_IN_T),), circle, t_window=(-3, 3)
-    )
+    f = smooth_majorant(lower, circle, t_window=(-3, 3), constant_before=0.0)
     t = np.array([-5.0, -2.5, -1.0, 0.0])
     vals = f(t, np.zeros((4, 1)))
     assert np.all(vals == vals[0])
@@ -131,27 +121,45 @@ def test_majorant_rejects_impossible_one_plateau(circle):
     # lower bound exceeds 1 where the factor is pinned to 1
     lower = ScalarField(fn=lambda t, x: np.full(np.shape(t), 7.0))
     with pytest.raises(ConstraintError):
-        smooth_majorant(
-            lower, (PlateauConstraint(0.0, INF, IDENTICALLY_ONE),), circle,
-            t_window=(-3, 3),
-        )
+        smooth_majorant(lower, circle, t_window=(-3, 3), one_after=0.0)
 
 
-def test_majorant_rejects_overlapping_constraints(circle):
+def test_majorant_rejects_a_one_ramp_inside_the_constant_past(circle):
+    # the one plateau from 0.2 snaps to 0.0 and ramps in from -0.5, inside
+    # the constant past up to 0, where f would jump from 0.5 to 1
     lower = ScalarField.constant(0.5)
-    cs = (
-        PlateauConstraint(0.0, 2.0, IDENTICALLY_ONE),
-        PlateauConstraint(1.0, 3.0, IDENTICALLY_ONE),
-    )
-    with pytest.raises(ConstraintError, match="overlap"):
-        smooth_majorant(lower, cs, circle, t_window=(-3, 3))
+    with pytest.raises(ConstraintError, match="must not overlap"):
+        smooth_majorant(lower, circle, t_window=(-3, 3), constant_before=0.0, one_after=0.2)
+    # a ramp that starts where the constant past ends is accepted
+    f = smooth_majorant(lower, circle, t_window=(-3, 3), constant_before=0.0, one_after=0.5)
+    t = np.linspace(-1.0, 1.0, 401)
+    vals = f(t, np.zeros((401, 1)))
+    assert np.all(vals[t <= 0.0] == vals[0]) and np.all(vals[t >= 0.5] == 1.0)
+    assert np.max(np.abs(np.diff(vals))) < 0.05
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_majorant_rejects_a_lower_bound_that_is_not_finite(circle, bad):
+    def fn(t, x, at=0.25):
+        return np.where((t == at) & (x[:, 0] == 0.0), bad, 0.5)
+
+    # a slab sample of a node
+    with pytest.raises(DomainError, match="not finite and positive"):
+        smooth_majorant(ScalarField(fn=fn), circle, t_window=(-3, 3))
+    # t = -1.01 is sampled by the recheck of the window only
+    with pytest.raises(ConstraintError, match="below lower bound"):
+        smooth_majorant(ScalarField(fn=lambda t, x: fn(t, x, -1.01)), circle,
+                        t_window=(-1.01, 1.0))
+    nan_factor = ScalarField(fn=lambda t, x: np.full(t.shape, np.nan))
+    with pytest.raises(DomainError, match="conformal factor nan"):
+        stretch_metric(flrw_exp(circle), nan_factor).fn(np.zeros(2), np.zeros((2, 1)))
 
 
 def test_majorant_spatially_varying_lower(circle):
     lower = ScalarField(
         fn=lambda t, x: np.exp(-2 * t) * (1.5 + np.sin(x[:, 0]))
     )
-    f = smooth_majorant(lower, (), circle, t_window=(-2, 2))
+    f = smooth_majorant(lower, circle, t_window=(-2, 2))
     rng = np.random.default_rng(8)
     t = rng.uniform(-2, 2, 300)
     x = rng.uniform(0, 2 * np.pi, (300, 1))
@@ -188,7 +196,7 @@ def test_majorant_is_a_positive_bounded_cell_majorant(d, n, base, amp, width, ce
     domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (n,) * d)
     L = np.asarray(domain.circumferences)
     lower = _bump_lower(domain, base, amp, width, centre * L, in_time)
-    f = smooth_majorant(lower, (), domain, t_window=(-1.0, 1.0))
+    f = smooth_majorant(lower, domain, t_window=(-1.0, 1.0))
     rng = np.random.default_rng(0)
     x = rng.uniform(0.0, 1.0, (2000, d)) * L
     t = rng.uniform(-1.0, 1.0, 2000)
@@ -216,8 +224,7 @@ def test_majorant_grid_weights_are_reused_bit_exactly(d):
     once; its values equal those at the permuted grid, un-permuted."""
     domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (16,) * d)
     lower = _bump_lower(domain, 0.5, 3.0, 0.4, np.full(d, 1.0), False)
-    constraints = (PlateauConstraint(-INF, -1.0, CONSTANT_IN_T),)
-    f = smooth_majorant(lower, constraints, domain, t_window=(-3.0, 3.0))
+    f = smooth_majorant(lower, domain, t_window=(-3.0, 3.0), constant_before=-1.0)
     grid = domain.grid_points()
     n = grid.shape[0]
     perm = np.random.default_rng(d).permutation(n)
@@ -485,11 +492,8 @@ def test_majorant_single_time_path_matches_the_general_path(d):
     lower = ScalarField(
         fn=lambda t, x: 0.2 + bump.fn(t, x) * (1.0 + 0.4 * np.tanh(np.maximum(t + 1.0, 0.0)))
     )
-    constraints = (
-        PlateauConstraint(-INF, -1.0, CONSTANT_IN_T),
-        PlateauConstraint(1.7, INF, IDENTICALLY_ONE),
-    )
-    f = smooth_majorant(lower, constraints, domain, t_window=(-3.0, 3.0))
+    f = smooth_majorant(lower, domain, t_window=(-3.0, 3.0), constant_before=-1.0,
+                        one_after=1.7)
     grid = domain.grid_points()
     n = grid.shape[0]
     off = np.random.default_rng(d).uniform(0.0, 1.0, (n, d)) * np.asarray(domain.circumferences)
@@ -500,8 +504,8 @@ def test_majorant_single_time_path_matches_the_general_path(d):
             assert one_time.tobytes() == general.tobytes(), t
     # 1.2 and 1.4 lie on the ramp into the identically-one plateau
     assert 0.0 < f.fn._one_weight(np.array([1.2]))[0] < f.fn._one_weight(np.array([1.4]))[0] < 1.0
-    # each grid node is blended once and kept
+    # each grid node is blended once and kept, the plateau node K = -2 too
     kept = dict(f.fn._grid_nodes)
-    assert ("rep", 0) in kept and 0 in kept
+    assert f.fn.K == -2 and -2 in kept and 0 in kept
     f.fn(np.full(n, 0.3), grid)
     assert all(f.fn._grid_nodes[k] is v for k, v in kept.items())

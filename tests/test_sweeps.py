@@ -26,8 +26,6 @@ from causal_surgery.causality import (
 )
 from causal_surgery.errors import ConstraintError, DataError
 from causal_surgery.fields import (
-    IDENTICALLY_ONE,
-    PlateauConstraint,
     grid_sample_metric,
     max_metric_deviation,
     sample_metric,
@@ -144,7 +142,7 @@ def _sweeps(tmp_path):
     unit = SpdField.constant(CIRCLE, np.eye(1))
     convex, k0, k1 = _convex_metric()
     lower = cone_bound_factor(flrw, ScalarField.constant(1.0), unit)
-    maj = surgery._MajorantField(lower, CIRCLE, ())
+    maj = surgery._MajorantField(lower, CIRCLE)
     ts = np.linspace(-1.0, 1.0, 5)
     return {
         "max_metric_deviation": (
@@ -265,8 +263,7 @@ def test_majorant_recheck_names_the_earliest_failure():
         return out
 
     with pytest.raises(ConstraintError) as err:
-        smooth_majorant(ScalarField(fn=lower_fn),
-                        [PlateauConstraint(0.0, np.inf, IDENTICALLY_ONE)], CIRCLE)
+        smooth_majorant(ScalarField(fn=lower_fn), CIRCLE, one_after=0.0)
     assert str(err.value) == (
         f"majorant {np.float64(1.0)!r} below lower bound {np.float64(2.0)!r} at "
         f"t={ts[40]}, x={PTS[9].tolist()}; plateau constraints are inconsistent "
