@@ -551,10 +551,12 @@ def verify_global_hyperbolicity(
     With a complete reference metric, a finite sup of the reference speed on
     every unit time slab bounds the spatial excursion of every causal curve
     over any compact time interval, which is the sufficient criterion used
-    throughout.
+    throughout.  The slabs tile ``t_window`` from its start; the last one
+    ends at its end, up to half a slab longer or shorter than the others.
     """
     t_lo, t_hi = float(t_window[0]), float(t_window[1])
     edges = np.arange(t_lo, t_hi + slab / 2, slab)
+    edges = np.append(edges[:max(1, edges.size - 1)], t_hi)
     ts = np.linspace(edges[:-1], edges[1:], n_t_per_slab, axis=1)  # (slabs, n_t)
     bounds = np.max(_grid_sup_speed(m, ref, ts.ravel()).reshape(ts.shape), axis=1)
     rows = tuple(

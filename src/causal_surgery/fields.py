@@ -24,8 +24,10 @@ A lattice slice is a batch with one time (``single_time``) at the domain
 grid (``SpatialDomain.is_grid``), and a layer may evaluate it separably,
 bit for bit: work that depends on t alone is done once per slice on one
 element, and work that depends on x alone once per grid and read back.
-The DSL metrics of ``config`` and the smooth majorant do so, and a spatial
-form declared constant in x is checked, and its pencil solved, once per slice.
+The DSL metrics of ``config`` do so; the smooth majorant, on its one
+evaluation path, runs the time logic of any one-time batch on one element
+and reads its grid nodes back; and a spatial form declared constant in x is
+checked, and its pencil solved, once per slice.
 """
 from __future__ import annotations
 

@@ -5,7 +5,6 @@ import datetime
 import itertools
 import json
 import os
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -24,25 +23,6 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 REPORT_SCHEMA_VERSION = 1
-
-
-def _thread_cap():
-    """Cap BLAS-level parallelism per the CAUSAL_SURGERY_THREADS env var."""
-    raw = os.environ.get("CAUSAL_SURGERY_THREADS")
-    if not raw:
-        return None
-    try:
-        n = max(1, int(raw))
-    except ValueError:
-        print(f"warning: ignoring CAUSAL_SURGERY_THREADS={raw!r}: not an integer",
-              file=sys.stderr)
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=n)
-    except ImportError:
-        return None
 
 
 @dataclass
@@ -304,143 +284,133 @@ def _certified_reference(pipeline: str, g: MetricField):
 
 def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
     """Execute the configured pipeline, write dumps and the report."""
-    cap = _thread_cap()
-    try:
-        report = RunReport(
-            name=config.name, pipeline=config.pipeline, seed=config.verification.seed,
-            generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        )
-        os.makedirs(out_dir, exist_ok=True)
-        ver = config.verification
-        t_grid = np.linspace(ver.t_window[0], ver.t_window[1], config.n_time_export)
+    report = RunReport(
+        name=config.name, pipeline=config.pipeline, seed=config.verification.seed,
+        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    )
+    os.makedirs(out_dir, exist_ok=True)
+    ver = config.verification
+    t_grid = np.linspace(ver.t_window[0], ver.t_window[1], config.n_time_export)
 
-        with _Timer(report, "build_metrics"):
-            g = build_metric(config.metric_g, config.domain, path="$.metric_g")
-            h = (
-                build_metric(config.metric_h, config.domain, path="$.metric_h")
-                if config.metric_h is not None
-                else None
+    with _Timer(report, "build_metrics"):
+        g = build_metric(config.metric_g, config.domain, path="$.metric_g")
+        h = (
+            build_metric(config.metric_h, config.domain, path="$.metric_h")
+            if config.metric_h is not None
+            else None
+        )
+
+    if config.pipeline == "theorem1":
+        j, g0 = _certified_reference(config.pipeline, g)
+        with _Timer(report, "make_globally_hyperbolic"):
+            result = surgery.make_globally_hyperbolic(
+                g, j=j, g0=g0,
+                already_gh_after=config.already_gh_after,
+                t_window=ver.t_window,
+                seed=ver.seed,
+                verify=False,
+            )
+        with _Timer(report, "verify"):
+            certificates = surgery.stretch_certificates(
+                result.metric, result.j, result.g0, ver.t_window,
+                n_curves=ver.samples, seed=ver.seed,
+                t_start_range=(ver.curve_start, ver.curve_start),
+                tol=ver.tolerance, step=ver.step,
+            )
+        _add_cert_checks(report, certificates)
+        with _Timer(report, "export"):
+            report.outputs += export_fields(
+                result, os.path.join(out_dir, "metric.csv"), t_grid
+            )
+    elif config.pipeline == "join_ultrastatic":
+        with _Timer(report, "join_ultrastatic"):
+            artifact = surgery.join_ultrastatic(
+                g, t_window=ver.t_window, seed=ver.seed
+            )
+        _add_cert_checks(report, artifact.certificates)
+        with _Timer(report, "export"):
+            report.outputs += export_fields(
+                artifact, os.path.join(out_dir, "metric.csv"), t_grid
+            )
+    else:  # join_pair
+        with _Timer(report, "asymptotic_join"):
+            artifact = surgery.asymptotic_join(
+                g, h, t_window=ver.t_window, seed=ver.seed
+            )
+        _add_cert_checks(report, artifact.certificates)
+        with _Timer(report, "diamond_checks"):
+            rng = np.random.default_rng(ver.seed)
+            k0 = artifact.metric.spatial_slice(0.25)
+            k1 = artifact.metric.spatial_slice(2.25)
+            all_bounded = True
+            for _ in range(10):
+                tp = float(rng.uniform(-1.0, 0.5))
+                tq = float(rng.uniform(tp, 2.5))
+                xp = rng.uniform(0, 1, config.domain.dimension) * np.asarray(
+                    config.domain.circumferences
+                )
+                rep = causality.causal_diamond_extent(
+                    artifact.metric, (tp, xp), (tq, xp), budget=17, k0=k0, k1=k1
+                )
+                all_bounded = all_bounded and rep.bounded
+            report.checks.append(
+                ("causal_diamonds_bounded", all_bounded,
+                 "" if all_bounded else "an unbounded diamond slice was reported")
+            )
+        join_grid = np.linspace(-3.0, 6.0, max(config.n_time_export, 25))
+        with _Timer(report, "export"):
+            report.outputs += export_fields(
+                artifact, os.path.join(out_dir, "metric.csv"), join_grid
             )
 
-        if config.pipeline == "theorem1":
-            j, g0 = _certified_reference(config.pipeline, g)
-            with _Timer(report, "make_globally_hyperbolic"):
-                result = surgery.make_globally_hyperbolic(
-                    g, j=j, g0=g0,
-                    already_gh_after=config.already_gh_after,
-                    t_window=ver.t_window,
-                    seed=ver.seed,
-                    verify=False,
-                )
-            with _Timer(report, "verify"):
-                certificates = surgery.stretch_certificates(
-                    result.metric, result.j, result.g0, ver.t_window,
-                    n_curves=ver.samples, seed=ver.seed,
-                    t_start_range=(ver.curve_start, ver.curve_start),
-                    tol=ver.tolerance, step=ver.step,
-                )
-            _add_cert_checks(report, certificates)
-            with _Timer(report, "export"):
-                report.outputs += export_fields(
-                    result, os.path.join(out_dir, "metric.csv"), t_grid
-                )
-        elif config.pipeline == "join_ultrastatic":
-            with _Timer(report, "join_ultrastatic"):
-                artifact = surgery.join_ultrastatic(
-                    g, t_window=ver.t_window, seed=ver.seed
-                )
-            _add_cert_checks(report, artifact.certificates)
-            with _Timer(report, "export"):
-                report.outputs += export_fields(
-                    artifact, os.path.join(out_dir, "metric.csv"), t_grid
-                )
-        else:  # join_pair
-            with _Timer(report, "asymptotic_join"):
-                artifact = surgery.asymptotic_join(
-                    g, h, t_window=ver.t_window, seed=ver.seed
-                )
-            _add_cert_checks(report, artifact.certificates)
-            with _Timer(report, "diamond_checks"):
-                rng = np.random.default_rng(ver.seed)
-                k0 = artifact.metric.spatial_slice(0.25)
-                k1 = artifact.metric.spatial_slice(2.25)
-                all_bounded = True
-                for _ in range(10):
-                    tp = float(rng.uniform(-1.0, 0.5))
-                    tq = float(rng.uniform(tp, 2.5))
-                    xp = rng.uniform(0, 1, config.domain.dimension) * np.asarray(
-                        config.domain.circumferences
-                    )
-                    rep = causality.causal_diamond_extent(
-                        artifact.metric, (tp, xp), (tq, xp), budget=17, k0=k0, k1=k1
-                    )
-                    all_bounded = all_bounded and rep.bounded
-                report.checks.append(
-                    ("causal_diamonds_bounded", all_bounded,
-                     "" if all_bounded else "an unbounded diamond slice was reported")
-                )
-            join_grid = np.linspace(-3.0, 6.0, max(config.n_time_export, 25))
-            with _Timer(report, "export"):
-                report.outputs += export_fields(
-                    artifact, os.path.join(out_dir, "metric.csv"), join_grid
-                )
-
-        report_path = os.path.join(out_dir, "report.json")
-        _atomic_write(report_path, [report.to_json()])
-        report.outputs.append(report_path)
-        _atomic_write(os.path.join(out_dir, "timings.json"), [report.timings_json()])
-        if not quiet:
-            _print_report(report)
-        return report
-    finally:
-        if cap is not None:
-            cap.unregister()
+    report_path = os.path.join(out_dir, "report.json")
+    _atomic_write(report_path, [report.to_json()])
+    report.outputs.append(report_path)
+    _atomic_write(os.path.join(out_dir, "timings.json"), [report.timings_json()])
+    if not quiet:
+        _print_report(report)
+    return report
 
 
 def run_verify(config: ScenarioConfig, dump_path: str, quiet: bool = False) -> RunReport:
     """Run the causality verifiers against a metric dump."""
-    cap = _thread_cap()
-    try:
-        report = RunReport(
-            name=config.name, pipeline="verify", seed=config.verification.seed,
-            generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    report = RunReport(
+        name=config.name, pipeline="verify", seed=config.verification.seed,
+        generated_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    )
+    ver = config.verification
+    with _Timer(report, "read_dump"):
+        m = read_metric_dump(dump_path, config.domain)
+    lo, hi = m.window
+    with _Timer(report, "verify"):
+        g = build_metric(config.metric_g, config.domain, path="$.metric_g")
+        certified = _certified_reference(config.pipeline, g)
+        if certified is None:
+            # no certified reference covers a join-pair dump, so only GH
+            # runs, and it needs just some complete reference
+            ref = m.spatial_slice(float(np.clip(0.0, lo, hi)))
+            ref_id = "g_0 slice"
+        else:
+            ref = causality.reference_field(config.domain, *certified)
+            ref_id = "j*g0"
+        gh = causality.verify_global_hyperbolicity(
+            m, ref, t_window=(lo, hi), ref_id=ref_id
         )
-        ver = config.verification
-        with _Timer(report, "read_dump"):
-            m = read_metric_dump(dump_path, config.domain)
-        lo, hi = m.window
-        with _Timer(report, "verify"):
-            g = build_metric(config.metric_g, config.domain, path="$.metric_g")
-            certified = _certified_reference(config.pipeline, g)
-            if certified is None:
-                # no certified reference covers a join-pair dump, so only GH
-                # runs, and it needs just some complete reference
-                ref = m.spatial_slice(float(np.clip(0.0, lo, hi)))
-                ref_id = "g_0 slice"
-            else:
-                ref = causality.reference_field(config.domain, *certified)
-                ref_id = "j*g0"
-            gh = causality.verify_global_hyperbolicity(
-                m, ref, t_window=(lo, hi), ref_id=ref_id
+        report.checks.append(("global_hyperbolicity", gh.passed, gh.detail))
+        if certified is not None and lo < 0 <= hi:
+            start = float(max(lo, ver.curve_start))
+            containment = causality.verify_cone_containment(
+                m, *certified,
+                n_samples=ver.samples, seed=ver.seed,
+                t_start_range=(start, start),
+                tol=ver.tolerance, step=ver.step,
             )
-            report.checks.append(("global_hyperbolicity", gh.passed, gh.detail))
-            if certified is not None and lo < 0 <= hi:
-                start = float(max(lo, ver.curve_start))
-                containment = causality.verify_cone_containment(
-                    m, *certified,
-                    n_samples=ver.samples, seed=ver.seed,
-                    t_start_range=(start, start),
-                    tol=ver.tolerance, step=ver.step,
-                )
-                report.checks.append(
-                    ("cone_containment", containment.passed, containment.detail)
-                )
-        if not quiet:
-            _print_report(report)
-        return report
-    finally:
-        if cap is not None:
-            cap.unregister()
+            report.checks.append(
+                ("cone_containment", containment.passed, containment.detail)
+            )
+    if not quiet:
+        _print_report(report)
+    return report
 
 
 def _print_report(report: RunReport):

@@ -77,9 +77,6 @@ class StretchResult:
     g0: SpdField
     certificates: dict = field(default_factory=dict)
 
-    def __iter__(self):
-        return iter((self.metric, self.factor))
-
 
 @contextmanager
 def _stage(name: str):
@@ -132,11 +129,19 @@ class _MajorantField:
 
     Two plateaus are exact.  With ``constant_before`` the plateau node is
     K = floor(constant_before / h): it holds the lower bound's row at
-    (K - 1) h and slab K, every node below it is node K, and every t <= K h
-    returns it directly.  With ``one_after`` every t >= one_lo =
-    h floor(one_after / h) returns 1.0, ramped in by the smooth unit step
-    over [one_lo - h, one_lo]; a ramp that starts inside the constant past
-    raises ConstraintError.
+    (K - 1) h and slab K, and every node below it is node K.  With
+    ``one_after`` the value is 1.0 from one_lo = h floor(one_after / h) on,
+    ramped in by the smooth unit step over [one_lo - h, one_lo]; a ramp that
+    starts inside the constant past raises ConstraintError.
+
+    Every batch takes one path.  The time logic runs once for a one-time
+    batch.  A batch wholly at t <= K h returns node K blended at x, and one
+    wholly at t >= one_lo returns ones.  Otherwise the cell index
+    k = floor(t / h) is clamped to [K, one_lo / h - 1], so the blend weight
+    u is 0 on the constant past (node K, bit for bit) and 1 on the one
+    plateau, where the ramp, whose weight is u itself, gives 1.0 exactly.
+    Points sharing one k blend one node pair, and a batch with a single k
+    blends on x itself, so a lattice slice reads its grid nodes back.
     """
 
     def __init__(
@@ -156,6 +161,10 @@ class _MajorantField:
         self.K = None if constant_before is None else int(np.floor(constant_before / h))
         self.const_end = -INF if self.K is None else self.K * h
         self.one_lo = None if one_after is None else h * np.floor(one_after / h)
+        # the clamp on the cell index: node K on the constant past, the
+        # ramp's cell on the one plateau
+        self.k_lo = -INF if self.K is None else float(self.K)
+        self.k_hi = INF if one_after is None else np.floor(one_after / h) - 1.0
         if self.one_lo is not None and self.one_lo - h < self.const_end:
             raise ConstraintError(
                 f"identically-one plateau from t={one_after} ramps in from "
@@ -211,24 +220,32 @@ class _MajorantField:
             self._nodes[k] = self._node_value(v)
         return self._nodes[k]
 
-    def _in_space(self, x: np.ndarray, *nodes):
-        """Each node blended at the points x (n, d) from the corners of their
-        grid cells; the cell weights are computed only if a node varies, and
-        on the domain grid only once."""
-        if all(isinstance(v, float) for v in nodes):
-            return nodes
-        idx, w = self._grid_cells if self.domain.is_grid(x) else self._cells(x)
-        return [v if isinstance(v, float) else (w * v[idx]).sum(axis=0) for v in nodes]
+    def _blend(self, x: np.ndarray, *ks: int) -> list:
+        """Nodes ks blended at the points x (n, d) from the corners of their
+        grid cells: a node constant in space stays one float, the cell
+        weights are computed at most once per call, and on the domain grid
+        each node's blend is computed once and kept."""
+        on_grid = self.domain.is_grid(x)
+        cells = None
+        out = []
+        for k in ks:
+            if on_grid and k in self._grid_nodes:
+                out.append(self._grid_nodes[k])
+                continue
+            v = self._node(k)
+            if not isinstance(v, float):
+                if cells is None:
+                    cells = self._grid_cells if on_grid else self._cells(x)
+                idx, w = cells
+                v = (w * v[idx]).sum(axis=0)
+            if on_grid:
+                self._grid_nodes[k] = v
+            out.append(v)
+        return out
 
     @cached_property
     def _grid_cells(self):
         return self._cells(self.grid)
-
-    def _grid_node(self, k: int) -> float | np.ndarray:
-        """Node k blended over the domain grid, once per k."""
-        if k not in self._grid_nodes:
-            self._grid_nodes[k] = self._in_space(self.grid, self._node(k))[0]
-        return self._grid_nodes[k]
 
     def _cells(self, x: np.ndarray):
         """Flat node indices (2^d, n) of the corners of each point's grid
@@ -248,75 +265,38 @@ class _MajorantField:
 
     # -- evaluation --------------------------------------------------------
 
-    def _one_weight(self, t: np.ndarray) -> np.ndarray:
-        if self.one_lo is None:
-            return np.zeros_like(t)
-        h = MAJORANT_NODE_SPACING
-        return smooth_unit_step((t - (self.one_lo - h)) / h)
-
-    def _slice(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The majorant at one time, t a one-element array, on the points x:
-        the general path's arithmetic with its time logic done once, and on
-        the domain grid each node blended in space once."""
-        h = MAJORANT_NODE_SPACING
-        out = np.empty(x.shape[0])
-        w = self._one_weight(t)
-        if w[0] >= 1.0:
-            out[:] = 1.0
-            return out
-        on_grid = self.domain.is_grid(x)
-        if t[0] <= self.const_end:
-            out[:] = self._grid_node(self.K) if on_grid else self._in_space(x, self._node(self.K))[0]
-            return out
-        k = np.floor(t / h).astype(int)
-        u = smooth_unit_step(t / h - k)
-        kk = int(k[0])
-        if on_grid:
-            a, b = self._grid_node(kk), self._grid_node(kk + 1)
-        else:
-            a, b = self._in_space(x, self._node(kk), self._node(kk + 1))
-        v = (1.0 - u) * a + u * b
-        if w[0] > 0.0:
-            v = (1.0 - w) * v + w
-        out[:] = v
-        return out
-
     def __call__(self, t, x):
         h = MAJORANT_NODE_SPACING
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape[0])
+        if not t.size:
+            return out
+        # a one-time batch (a lattice slice) does its time logic once
         if single_time(t):
-            return self._slice(t[:1], x)
-        out = np.empty_like(t)
-
-        # the identically-one plateau, bit-exact
-        w = self._one_weight(t)
-        done = w >= 1.0
-        out[done] = 1.0
-
-        # the constant past (which the ramp never reaches), bit-exact node K
-        past = t <= self.const_end
-        if past.any():
-            out[past] = self._in_space(x[past], self._node(self.K))[0]
-            done |= past
-
-        # generic blend between adjacent nodes
-        rest = ~done
-        if rest.any():
-            tr = t[rest]
-            xr = x[rest]
-            k = np.floor(tr / h).astype(int)
-            u = smooth_unit_step(tr / h - k)
-            v = np.empty_like(tr)
-            for kk in np.unique(k):
-                mk = k == kk
-                a, b = self._in_space(xr[mk], self._node(int(kk)), self._node(int(kk) + 1))
-                v[mk] = (1.0 - u[mk]) * a + u[mk] * b
-            # blend into the identically-one plateau
-            wr = w[rest]
-            ramp = wr > 0.0
-            v[ramp] = (1.0 - wr[ramp]) * v[ramp] + wr[ramp]
-            out[rest] = v
+            t = t[:1]
+        if t.max() <= self.const_end:
+            out[:] = self._blend(x, self.K)[0]
+            return out
+        if self.one_lo is not None and t.min() >= self.one_lo:
+            out[:] = 1.0
+            return out
+        k = np.floor(t / h).clip(self.k_lo, self.k_hi)
+        u = smooth_unit_step(t / h - k)
+        if (k == k[0]).all():
+            # one node pair for the whole batch: blend on x itself, so a
+            # lattice slice reads the kept grid blends
+            groups = [(slice(None), x, k[0])]
+        else:
+            groups = [(k == kk, x[k == kk], kk) for kk in np.unique(k)]
+        for m, xm, kk in groups:
+            a, b = self._blend(xm, int(kk), int(kk) + 1)
+            um = u[m]
+            v = (1.0 - um) * a + um * b
+            if kk == self.k_hi:
+                # the ramp into the one plateau
+                v = (1.0 - um) * v + um
+            out[m] = v
         return out
 
 

@@ -604,6 +604,28 @@ def test_gh_certificate_reports_slab_speeds(circle, ultra_circle):
         assert bound == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "window", [(-3.0, 2.6), (-3.0, 3.4), (-2.5, 3.0), (0.1, 3.1), (0.0, 0.3)]
+)
+def test_gh_slabs_tile_exactly_the_window(circle, ultra_circle, window):
+    """A window that is not a whole number of slabs is covered to its end,
+    and no sample time falls outside it; one shorter than half a slab is
+    one slab, not none."""
+    seen = []
+
+    def fn(t, x):
+        seen.append(np.array(t))
+        return ultra_circle.fn(t, x)
+
+    m = MetricField(circle, fn, window=window)
+    cert = verify_global_hyperbolicity(m, _identity_ref(circle), t_window=window)
+    assert cert.passed
+    assert cert.slabs[0][0] == window[0] and cert.slabs[-1][1] == window[1]
+    assert all(s[1] == nxt[0] for s, nxt in zip(cert.slabs, cert.slabs[1:]))
+    ts = np.concatenate(seen)
+    assert ts.min() == window[0] and ts.max() == window[1]
+
+
 # -- causal diamonds -------------------------------------------------------
 
 

@@ -103,6 +103,19 @@ def test_verify_good_dump_exit_zero(config_file, tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_build_and_verify_a_window_of_partial_slabs(tmp_path):
+    """A validity window that is not a whole number of unit slabs builds and
+    verifies its own dump: no certificate samples past the dump's last row."""
+    cfg = dict(CONFIG, verification=dict(CONFIG["verification"], t_window=[-3.0, 2.6]))
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    res = invoke("build", "--config", str(p), "--out", out, "--quiet")
+    assert res.exit_code == 0, res.output
+    res = invoke("verify", "--config", str(p), os.path.join(out, "metric.csv"), "--samples", "8")
+    assert res.exit_code == 0, res.output
+
+
 def test_verify_garbage_dump_exit_two(config_file, tmp_path):
     dump = tmp_path / "garbage.csv"
     dump.write_text("this,is,not\na,metric,dump\n")
@@ -367,16 +380,3 @@ def test_seed_override_changes_report(config_file, tmp_path):
     assert res.exit_code == 0
     report = json.loads(open(os.path.join(out, "report.json")).read())
     assert report["seed"] == 42
-
-
-def test_threads_env_var_is_accepted(config_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("CAUSAL_SURGERY_THREADS", "1")
-    res = invoke("build", "--config", config_file, "--out", str(tmp_path / "t"), "--quiet")
-    assert res.exit_code == 0
-
-
-def test_invalid_threads_env_var_warns(config_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("CAUSAL_SURGERY_THREADS", "abc")
-    res = invoke("build", "--config", config_file, "--out", str(tmp_path / "t"), "--quiet")
-    assert res.exit_code == 0
-    assert res.stderr == "warning: ignoring CAUSAL_SURGERY_THREADS='abc': not an integer\n"

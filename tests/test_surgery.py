@@ -294,13 +294,12 @@ def test_make_globally_hyperbolic_satisfies_inequality(flrw_circle):
     assert result.certificates["global_hyperbolicity"].passed
     assert result.certificates["cone_inequality"].passed
     assert result.certificates["cone_containment"].passed
-    m, f = result
     # pointwise: f * g_t >= max{1, lambda} * j * g_0
     t = np.linspace(-3, 3, 25)
     x = np.zeros((25, 1))
-    _, g = m.eval(t, x)
+    _, g = result.metric.eval(t, x)
     assert np.all(g[:, 0, 0] >= 1.0 - 1e-9)
-    assert np.all(f(t, x) > 0)
+    assert np.all(result.factor(t, x) > 0)
 
 
 def test_make_globally_hyperbolic_already_gh_pins_factor(flrw_circle):
@@ -483,29 +482,56 @@ def test_time_reverse_involution(flrw_circle):
 @pytest.mark.parametrize("d", [1, 2])
 def test_majorant_single_time_path_matches_the_general_path(d):
     """A one-time batch (time logic once, grid nodes blended once) equals the
-    general path, forced by one extra point at another time, bit for bit:
-    at node times k h, inside a constant-in-t plateau and at its edge,
-    between nodes, on the ramp into an identically-one plateau and on it."""
+    same points in a batch of several times, bit for bit: at node times k h,
+    inside the constant-in-t plateau and at its edge, between nodes, on the
+    ramp into the identically-one plateau and on it.  Batches wholly on
+    either plateau, or straddling either edge, equal their points evaluated
+    alone, and so does each point of random mixed batches (grid and off-grid
+    points, times on both plateaus, at node times and anywhere between)."""
     domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (16,) * d)
     bump = _bump_lower(domain, 0.0, 0.5, 0.4, np.full(d, 1.0), False)
     # constant in t up to -1, growing after it, below 1 on the one-plateau
     lower = ScalarField(
         fn=lambda t, x: 0.2 + bump.fn(t, x) * (1.0 + 0.4 * np.tanh(np.maximum(t + 1.0, 0.0)))
     )
+    # K h = -1 (K = -2); identically one from one_lo = 1.5, ramped in over [1, 1.5]
     f = smooth_majorant(lower, domain, t_window=(-3.0, 3.0), constant_before=-1.0,
                         one_after=1.7)
     grid = domain.grid_points()
     n = grid.shape[0]
     off = np.random.default_rng(d).uniform(0.0, 1.0, (n, d)) * np.asarray(domain.circumferences)
-    for t in (-2.0, -1.25, -1.0, -0.5, 0.0, 0.3, 0.5, 1.2, 1.4, 2.0):
+    for t in (-2.7, -2.0, -1.25, -1.0, -0.5, 0.0, 0.3, 0.5, 1.2, 1.4, 1.5, 2.0, 2.9):
         for x in (grid, off):
             one_time = f.fn(np.full(n, t), x)
             general = f.fn(np.append(np.full(n, t), t + 0.37), np.vstack([x, x[:1]]))[:n]
             assert one_time.tobytes() == general.tobytes(), t
-    # 1.2 and 1.4 lie on the ramp into the identically-one plateau
-    assert 0.0 < f.fn._one_weight(np.array([1.2]))[0] < f.fn._one_weight(np.array([1.4]))[0] < 1.0
+    # wholly in the constant past, wholly on the one plateau, and straddling
+    # K h = -1 and one_lo = 1.5
+    for times in ((-2.7, -1.25, -1.0), (1.5, 2.0, 2.9), (-1.25, -1.0, -0.75), (1.25, 1.5, 2.0)):
+        t = np.resize(np.asarray(times), n)
+        for x in (grid, off):
+            alone = np.concatenate([f.fn(t[i:i + 1], x[i:i + 1]) for i in range(n)])
+            assert f.fn(t, x).tobytes() == alone.tobytes(), times
+    # below 1 on the ramp, exactly 1.0 on the plateau, in any batch
+    t = np.resize([1.2, 1.4, 1.5, 2.0, 2.9], n)
+    for x in (grid, off):
+        v = f.fn(t, x)
+        assert np.all(v[t < 1.5] < 1.0) and np.all(v[t >= 1.5] == 1.0)
+        for s in (1.5, 2.0, 2.9):
+            assert np.all(f.fn(np.full(n, s), x) == 1.0)
     # each grid node is blended once and kept, the plateau node K = -2 too
     kept = dict(f.fn._grid_nodes)
     assert f.fn.K == -2 and -2 in kept and 0 in kept
     f.fn(np.full(n, 0.3), grid)
     assert all(f.fn._grid_nodes[k] is v for k, v in kept.items())
+    # seeded random mixed batches, row by row
+    rng = np.random.default_rng(40 + d)
+    node_times = MAJORANT_NODE_SPACING * np.arange(-6, 7)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        t = np.where(rng.random(n) < 0.3, rng.choice(node_times, n), rng.uniform(-3.0, 3.0, n))
+        x = rng.uniform(0.0, 1.0, (n, d)) * np.asarray(domain.circumferences)
+        on = rng.random(n) < 0.5
+        x[on] = grid[rng.integers(0, grid.shape[0], on.sum())]
+        alone = np.concatenate([f.fn(t[i:i + 1], x[i:i + 1]) for i in range(n)])
+        assert f.fn(t, x).tobytes() == alone.tobytes()
