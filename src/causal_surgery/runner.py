@@ -85,11 +85,16 @@ class _Timer:
 
 
 def _atomic_write(path: str, chunks):
-    """Write the strings ``chunks`` yields to a temp file, then rename it to path."""
+    """Write the strings ``chunks`` yields to a temp file, then rename it to path.
+    If anything raises, the temp file is removed and path is left untouched."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # only if something raised
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,8 @@ def export_fields(artifact, path: str, t_grid=None) -> list[str]:
     """Write CSV field dumps for an artifact; returns the file manifest.
 
     One row per (t, grid point): t, x1[, x2], lapse, spatial components
-    (row-major upper triangle), then factor values where applicable.
+    (row-major upper triangle), then factor values where applicable, each
+    distinct value formatted once with "%.17g": the bytes of a per-cell format.
     """
     if isinstance(artifact, StretchResult):
         metric, factor = artifact.metric, artifact.factor
@@ -134,11 +140,15 @@ def export_fields(artifact, path: str, t_grid=None) -> list[str]:
         block[..., -1] = sample_metric(factor, t_grid, pts)
     # the t and x columns repeat from slice to slice: the grid coordinates
     # are formatted once into a template of all rows (T stands for the time),
-    # so each slice is one % operation, written before the next is formatted
-    values = ",%.17g" * block.shape[-1] + "\n"
+    # so each slice is one % operation, written before the next is formatted;
+    # each distinct bit pattern of the values (-0.0 is not 0.0) is formatted once
+    values = ",%s" * block.shape[-1] + "\n"
     rows = "".join(["T" + "".join([",%.17g" % c for c in p]) + values for p in pts.tolist()])
-    body = (rows.replace("T", "%.17g" % t) % tuple(v.ravel().tolist())
-            for t, v in zip(t_grid.tolist(), block))
+    del lam, g  # the sort buffers of np.unique take their place
+    bits, index = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    body = (rows.replace("T", "%.17g" % t) % tuple(text[k].ravel().tolist())
+            for t, k in zip(t_grid.tolist(), index.reshape(block.shape)))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     _atomic_write(path, itertools.chain([",".join(cols) + "\n"], body))
     return [path]

@@ -11,13 +11,18 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import causal_surgery
 from causal_surgery import export_fields, load_config, read_metric_dump, run_build
 from causal_surgery.cli import _DEMO_FILES, main
+from causal_surgery.config import build_metric, parse_config
 from causal_surgery.domain import SpatialDomain
 from causal_surgery.errors import FormatError
-from causal_surgery.runner import _parse_bulk
+from causal_surgery.fields import MetricField, ScalarField, sample_metric
+from causal_surgery.runner import _atomic_write, _parse_bulk
+from causal_surgery.surgery import StretchResult, make_globally_hyperbolic
 from conftest import flrw_exp
 
 CONFIG = {
@@ -348,6 +353,101 @@ def test_dump_reader_accepts_what_float_accepts(tmp_path, text, message):
     canonical.write_text("\n".join(lines) + "\n")
     a = read_metric_dump(str(edited), domain).fn._spline.c
     np.testing.assert_array_equal(a, read_metric_dump(str(canonical), domain).fn._spline.c)
+
+
+def _per_cell_csv(cols, pts, t_grid, block):
+    """The dump as formatted cell by cell, every value with "%.17g"."""
+    values = ",%.17g" * block.shape[-1] + "\n"
+    rows = "".join(["T" + "".join([",%.17g" % c for c in p]) + values for p in pts.tolist()])
+    body = "".join(rows.replace("T", "%.17g" % t) % tuple(v.ravel().tolist())
+                   for t, v in zip(t_grid.tolist(), block))
+    return ",".join(cols) + "\n" + body
+
+
+# values the dedup must keep apart or format like any other: both zeros,
+# subnormals, infinities and NaNs of two payloads and both signs
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -2.5e-310, np.inf, -np.inf, np.nan, -np.nan,
+                     np.array(0x7FF8000000000001, dtype=np.int64).view(np.float64)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from([1, 2]),
+    n_t=st.integers(1, 4),
+    with_f=st.booleans(),
+    pool=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                  min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_export_equals_the_per_cell_format_byte_for_byte(tmp_path_factory, d, n_t, with_f,
+                                                         pool, seed):
+    """Formatting each distinct bit pattern once writes the bytes of formatting
+    every cell, with repeats, signed zeros, subnormals, infinities and NaNs."""
+    domain = SpatialDomain(d, (2 * np.pi, 4.0)[:d], (9, 8)[:d])
+    pts = domain.grid_points()
+    n_vals = 1 + d * (d + 1) // 2 + with_f
+    values = np.concatenate([_SPECIAL, pool])
+    picks = np.random.default_rng(seed).integers(0, len(values), (n_t, len(pts), n_vals))
+    block = values[picks]
+    block[0, :2, 0] = [0.0, -0.0]  # both zeros in one column
+    t_grid = np.arange(n_t) * 0.75 - 1.0
+    upper = [(a, b) for a in range(d) for b in range(a, d)]
+
+    def slice_of(t):
+        return block[int(np.searchsorted(t_grid, t[0]))]
+
+    def fn(t, x):
+        g = np.zeros((len(t), d, d))
+        for k, (a, b) in enumerate(upper):
+            g[:, a, b] = slice_of(t)[:, 1 + k]
+        return slice_of(t)[:, 0], g
+
+    metric = MetricField(domain, fn)
+    artifact = metric
+    if with_f:
+        artifact = StretchResult(metric, ScalarField(lambda t, x: slice_of(t)[:, -1]),
+                                 None, None, None)
+    cols = ["t"] + [f"x{i+1}" for i in range(d)] + ["lapse"]
+    cols += [f"g{a+1}{b+1}" for a, b in upper] + ["f"] * with_f
+    dump = tmp_path_factory.mktemp("dump") / "m.csv"
+    export_fields(artifact, str(dump), t_grid)
+    assert dump.read_bytes() == _per_cell_csv(cols, pts, t_grid, block).encode()
+
+
+def test_theorem1_2d_dump_reads_back_bit_for_bit(tmp_path):
+    """Every value column of a 2-D theorem-1 dump parses to the sampled block."""
+    raw = json.loads((importlib.resources.files("causal_surgery.demos")
+                      / _DEMO_FILES["anisotropic-torus"]).read_text())
+    raw["domain"]["resolution"] = [12, 8]
+    cfg = parse_config(raw)
+    g = build_metric(cfg.metric_g, cfg.domain, path="$.metric_g")
+    result = make_globally_hyperbolic(g, t_window=(-3.0, 3.0), seed=0, verify=False)
+    t_grid = np.linspace(-3.0, 3.0, 13)
+    dump = str(tmp_path / "m.csv")
+    export_fields(result, dump, t_grid)
+    assert open(dump).readline() == "t,x1,x2,lapse,g11,g12,g22,f\n"
+    rows = np.loadtxt(dump, delimiter=",", skiprows=1).reshape(13, cfg.domain.n_points, 8)
+    pts = cfg.domain.grid_points()
+    lam, gs = sample_metric(result.metric, t_grid, pts, check=False)
+    for k, column in enumerate([lam, gs[..., 0, 0], gs[..., 0, 1], gs[..., 1, 1],
+                                sample_metric(result.factor, t_grid, pts)]):
+        assert column.tobytes() == rows[..., 3 + k].tobytes()
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_atomic_write_leaves_no_temp_file_when_writing_raises(tmp_path, existing):
+    target = tmp_path / "aw.csv"
+    if existing:
+        target.write_text("old\n")
+
+    def chunks():
+        yield "new\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        _atomic_write(str(target), chunks())
+    assert not (tmp_path / "aw.csv.tmp").exists()
+    assert target.read_text() == "old\n" if existing else not target.exists()
 
 
 # -- determinism -----------------------------------------------------------

@@ -20,11 +20,14 @@ end-to-end metric of BENCHMARK.json, the median and quartiles of each side
 (``statistics.quantiles``, n=4), the pairs in which the change is lower and
 the relative change of the medians; plus the failed-op share of each side,
 whether every run was correct and in how many pairs the output digests
-agree.  With ``--trace 1`` the entry under ``per_layer_trace`` gets each
-side's median of the metrics named by ``--metrics``.  Entries for other
-workloads already in ``--out`` are kept, and the file is rewritten after
-every pair, so an interrupted run keeps what it measured.  Standard
-library only.
+agree; and, under ``order_effect``, the median change-minus-parent
+``wall_ref`` delta over the pairs the parent ran first and over those the
+change ran first, with half their difference, the amount by which the side
+that runs first reads slower.  With ``--trace 1`` the entry under
+``per_layer_trace`` gets each side's median of the metrics named by
+``--metrics``.  Entries for other workloads already in ``--out`` are kept,
+and the file is rewritten after every pair, so an interrupted run keeps what
+it measured.  Standard library only.
 """
 from __future__ import annotations
 
@@ -85,6 +88,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, statistics.median(values), q3
 
 
+def order_effect(pairs: list[dict]) -> dict:
+    """Median change-minus-parent wall_ref delta, by the side that ran first."""
+    out = {"metric": "wall_ref"}
+    for first in ("parent", "change"):
+        deltas = [p["change"]["metrics"]["wall_ref"]["value"]
+                  - p["parent"]["metrics"]["wall_ref"]["value"]
+                  for p in pairs if p["first"] == first]
+        out[f"{first}_first_median_delta"] = (
+            round(statistics.median(deltas), 4) if deltas else None)
+    if None not in (out["parent_first_median_delta"], out["change_first_median_delta"]):
+        out["first_side_slower_by"] = round(
+            (out["change_first_median_delta"] - out["parent_first_median_delta"]) / 2, 4)
+    return out
+
+
 def summarise_end_to_end(pairs: list[dict], metrics: list[dict], seeds: list[int]) -> dict:
     ok = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
     out = {}
@@ -109,6 +127,7 @@ def summarise_end_to_end(pairs: list[dict], metrics: list[dict], seeds: list[int
         attempted = sum(r["attempted"] for r in runs)
         return round(sum(r["failed"] for r in runs) / attempted, 4) if attempted else None
 
+    out["order_effect"] = order_effect(ok)
     out["failed_ops_frac"] = {"parent": share("parent"), "change": share("change")}
     out["correct_all_runs"] = len(ok) == len(pairs) and all(
         p[side]["correct"] for p in ok for side in ("parent", "change"))
@@ -173,7 +192,7 @@ def main() -> int:
         pairs = []
         for k, seed in enumerate(args.seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed}
+            pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(roots[side], args.workload, seed, seconds, args.trace)
             pairs.append(pair)
@@ -197,9 +216,11 @@ def main() -> int:
         wall = record["end_to_end"][args.workload].get("wall_ref")
         if wall:
             gap = wall["parent_q3"] - wall["parent_q1"]
+            order = record["end_to_end"][args.workload]["order_effect"]
             print(f"wall_ref median {wall['parent_median']} -> {wall['change_median']} "
                   f"({wall['relative_change']:+.1%}), change lower in "
-                  f"{wall['change_lower_in_pairs']} pairs, parent quartile gap {gap:.2f}")
+                  f"{wall['change_lower_in_pairs']} pairs, parent quartile gap {gap:.2f}, "
+                  f"first side slower by {order.get('first_side_slower_by')}")
     return 0
 
 
