@@ -8,17 +8,20 @@ identity-chart isometry windows.  All sampling is seeded and deterministic.
 Direction policies steer the extremal curves.  A policy has a ``name`` and
 three methods:
 
-- ``prepare(n, t0, t1, domain, rng)`` once, before integration, for a group
+- ``prepare(n, t0, t1, domain, rng)`` before each integration, for a group
   of n curves launched at t0 towards t1;
-- ``directions(t, x, g) -> (n, d)`` at every RK4 stage, with the group's
-  scalar time t, its curve positions x (n, d) and the spatial form
-  g (n, d, d) of the metric at (t, x), which the integrator has already
-  evaluated; the returned directions need not be normalized;
+- ``directions(t, x, g) -> (n, d)`` once per RK4 step, at the step start,
+  with the group's scalar time t, its curve positions x (n, d) and the
+  spatial form g (n, d, d) of the metric at (t, x), which the integrator
+  has already evaluated; the returned directions need not be normalized,
+  and they are held through the step's four stages;
 - ``after_step(t, x)`` at launch and after every completed step.
 
-The integrator advances several policy groups in lockstep: one metric
-evaluation per RK4 stage covers every group, and each policy only ever sees
-its own rows.
+A group's steps run from its launch in segments of ``DWELL`` (the last one
+may be shorter), so a policy that switches direction every ``DWELL`` from
+launch switches only between steps.  The integrator advances several policy
+groups in lockstep: one metric evaluation per RK4 stage covers every group,
+and each policy only ever sees its own rows.
 """
 from __future__ import annotations
 
@@ -43,6 +46,9 @@ from .fields import (
 from .profiles import smooth_unit_step
 
 INF = float("inf")
+# the piecewise random policy's dwell, and the coarsest step of the
+# containment ladder; every step of a group lies inside one dwell segment
+DWELL = 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -150,27 +156,34 @@ class ConstantDirection:
         pass
 
 
+def _dwell_edges(t0: float, t1: float) -> np.ndarray:
+    """The starts t0 + k * DWELL (k = 0, 1, ...) of the dwell segments from t0
+    towards t1; the last segment ends at t1 and may be shorter.  The
+    integrator's grid and the piecewise random policy both take their edges
+    from here, so a switch time is a step start bit for bit."""
+    n = max(1, int(np.ceil(abs(t1 - t0) / DWELL)))
+    return t0 + np.copysign(DWELL, t1 - t0) * np.arange(n)
+
+
 class PiecewiseRandomDirection:
-    """Seeded piecewise-constant random unit directions with fixed dwell time."""
+    """Seeded random unit directions, piecewise constant on the dwell
+    segments from launch (see ``_dwell_edges``)."""
 
     name = "piecewise_random"
 
-    def __init__(self, seed: int, dwell: float = 0.25):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self.dwell = float(dwell)
 
     def prepare(self, n, t0, t1, domain, rng):
-        self.t0 = min(t0, t1)
-        n_seg = int(np.ceil(abs(t1 - t0) / self.dwell)) + 1
+        self.sign = 1.0 if t1 >= t0 else -1.0
+        self.keys = self.sign * _dwell_edges(t0, t1)  # ascending
+        n_seg = int(np.ceil(abs(t1 - t0) / DWELL)) + 1
         local = np.random.default_rng(self.seed)
         raw = local.standard_normal((n, n_seg, domain.dimension))
         self.table = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
 
     def directions(self, t, x, g):
-        seg = min(
-            int(np.floor((float(np.atleast_1d(t)[0]) - self.t0) / self.dwell)),
-            self.table.shape[1] - 1,
-        )
+        seg = int(np.searchsorted(self.keys, self.sign * float(t), side="right")) - 1
         return self.table[:, max(seg, 0), :]
 
     def after_step(self, t, x):
@@ -209,14 +222,14 @@ class HoldAtMaxDirection:
     name = "hold_at_max"
 
     def __init__(self, u, domain: SpatialDomain, ref: SpdField):
-        self.u0 = np.atleast_2d(np.asarray(u, dtype=float))
+        u = np.atleast_2d(np.asarray(u, dtype=float))
+        self.u0 = u / np.linalg.norm(u, axis=-1, keepdims=True)
         self.domain = domain
         self.ref = ref
 
     def prepare(self, n, t0, t1, domain, rng):
         if self.u0.shape[0] == 1:
             self.u0 = np.repeat(self.u0, n, axis=0)
-        self.u0 = self.u0 / np.linalg.norm(self.u0, axis=-1, keepdims=True)
         self.frozen = np.zeros(n, dtype=bool)
         self.best = None
         self.start = None
@@ -270,11 +283,9 @@ class _Run(NamedTuple):
     """One policy group inside a bundle, with its trajectory so far."""
 
     index: int
-    t0: float
-    n_steps: int
+    times: np.ndarray  # the group's step grid, launch to stop
     x0: np.ndarray
     policy: object
-    times: list
     points: list
     velocities: list
 
@@ -288,9 +299,9 @@ class _Path:
     compute curve i's speed certificate on request.
     """
 
-    def __init__(self, m, times, points, velocities, half, record_every=1):
+    def __init__(self, m, times, points, velocities, record_every=1):
         self._m = m
-        self._steps = (times, points, velocities, half)
+        self._steps = (times, points, velocities)
         keep = slice(None, None, record_every)
         self.times, self.points = times[keep], points[keep]
         if (times.size - 1) % record_every:
@@ -301,31 +312,46 @@ class _Path:
         """Curve i's max over steps (and 0) of g(v, v) / lambda, v the step's
         average velocity and (lambda, g) the metric at the step midpoint:
         one evaluation over the curve's steps."""
-        times, points, velocities, half = self._steps
+        times, points, velocities = self._steps
         if not velocities.shape[0]:
             return 0.0
         x = points[:, i]
-        lam, g = self._m.eval(times[1:] - half, (x[:-1] + x[1:]) / 2, check=False)
+        mid = times[:-1] + (times[1:] - times[:-1]) / 2
+        lam, g = self._m.eval(mid, (x[:-1] + x[1:]) / 2, check=False)
         ratio = _quadratic_form(velocities[:, i], g) / lam
         return float(np.maximum(0.0, ratio.max()))
 
 
+def _step_times(t0: float, t_stop: float, step: float) -> np.ndarray:
+    """A group's step grid from t0 to t_stop: every dwell segment (see
+    ``_dwell_edges``) cut into max(1, round(DWELL / step)) equal steps.  With
+    step = DWELL / 2^k the grids of successive k are nested."""
+    edges = np.append(_dwell_edges(t0, t_stop), t_stop)
+    per = max(1, int(round(DWELL / step)))
+    frac = np.arange(per) / per
+    inner = edges[:-1, None] + (edges[1:] - edges[:-1])[:, None] * frac
+    return np.append(inner.ravel(), t_stop)
+
+
 def _integrate_bundle(m, groups, t_end, step, record_every=1):
-    """Classical RK4 on dk/dt = sigma(t,k) u(t,k) for policy groups in lockstep.
+    """Classical RK4 on dk/dt = sigma(t,k) u for policy groups in lockstep.
 
     ``groups`` is a sequence of ``(t0, x0, policy)``: curves x0 (n, d)
-    launched at t0 and steered by ``policy``.  Each group takes
-    round(|span| / step) equal steps from its own t0 to t_end (clipped to the
-    validity window) and drops out once they are done.  Every RK4 stage is a
-    single metric evaluation over the curves of all groups still running, so
-    a step costs four evaluations.  All arithmetic is per curve, so each
-    curve is bit-identical to integrating its group alone.
+    launched at t0 and steered by ``policy``.  Each group steps from its own
+    t0 to t_end (clipped to the validity window) on the grid of
+    ``_step_times``, so its steps are equal within each dwell segment, and
+    drops out once they are done.  Each step asks the policy for the
+    directions u once, at the step start, and holds them through the four
+    stages; sigma = sqrt(lambda / g(u,u)) is evaluated at every stage, so
+    each velocity is null.  Every RK4 stage is a single metric evaluation
+    over the curves of all groups still running, so a step costs four
+    evaluations.  All arithmetic is per curve, so each curve is
+    bit-identical to integrating its group alone.
 
-    sigma = sqrt(lambda / g(u,u)) makes each velocity null, so the speed
-    certificate g(kdot,kdot) <= lambda holds with equality up to integration
-    error.  It is not computed here: each step's average velocity is kept,
-    and a returned path computes one curve's certificate when asked
-    (``_Path.speed_ratio``).  Fixed step; global error O(step^4).
+    The speed certificate g(kdot,kdot) <= lambda holds with equality up to
+    integration error.  It is not computed here: each step's average
+    velocity is kept, and a returned path computes one curve's certificate
+    when asked (``_Path.speed_ratio``).
 
     Returns ``([_Path per group], truncated)``.
     """
@@ -336,64 +362,59 @@ def _integrate_bundle(m, groups, t_end, step, record_every=1):
     live = []
     for index, (t0, x0, policy) in enumerate(groups):
         x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-        span = t_stop - t0
-        if span == 0.0:
+        if t_stop == t0:
             m.eval(np.full(x0.shape[0], t0), x0, check=True)
             no_steps = np.empty((0,) + x0.shape)
-            paths[index] = _Path(m, np.array([t0]), x0[None, :, :], no_steps, 0.0)
+            paths[index] = _Path(m, np.array([t0]), x0[None, :, :], no_steps)
         else:
-            n_steps = max(1, int(round(abs(span) / step)))
-            live.append(_Run(index, t0, n_steps, x0, policy, [t0], [x0], []))
+            live.append(_Run(index, _step_times(t0, t_stop, step), x0, policy, [x0], []))
     if not live:
         return paths, truncated
     # longest groups first, so the curves still running are always a prefix
-    live.sort(key=lambda run: -run.n_steps)
+    live.sort(key=lambda run: -run.times.size)
     sizes = [run.x0.shape[0] for run in live]
     bounds = np.cumsum([0] + sizes)
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    t_launch = np.repeat([run.t0 for run in live], sizes)
-    dt = np.repeat([(t_stop - run.t0) / run.n_steps for run in live], sizes)
-    t = t_launch
     x = np.concatenate([run.x0 for run in live])
     for run in live:
-        run.policy.after_step(run.t0, run.x0)
+        run.policy.after_step(float(run.times[0]), run.x0)
 
-    def rhs(ts, pts):
-        lam, g = m.eval(ts, pts, check=False)
-        u = np.concatenate([
-            np.asarray(run.policy.directions(float(ts[sl.start]), pts[sl], g[sl]), dtype=float)
-            for run, sl in zip(live, slices)
-        ])
+    def velocity(u, lam, g):
         guu = _quadratic_form(u, g)
         sigma = np.sqrt(np.where(guu > 0, lam / np.where(guu > 0, guu, 1.0), 0.0))
         return sigma[:, None] * u
 
     i = 0
     while live:
+        counts = sizes[:len(live)]
+        t = np.repeat([run.times[i] for run in live], counts)
+        t_next = np.repeat([run.times[i + 1] for run in live], counts)
+        dt = t_next - t
         half = dt / 2
-        k1 = rhs(t, x)
+        lam, g = m.eval(t, x, check=False)
+        u = np.concatenate([
+            np.asarray(run.policy.directions(float(run.times[i]), x[sl], g[sl]), dtype=float)
+            for run, sl in zip(live, slices)
+        ])
+        k1 = velocity(u, lam, g)
         t_mid = t + half
-        k2 = rhs(t_mid, x + half[:, None] * k1)
-        k3 = rhs(t_mid, x + half[:, None] * k2)
-        k4 = rhs(t + dt, x + dt[:, None] * k3)
+        k2 = velocity(u, *m.eval(t_mid, x + half[:, None] * k1, check=False))
+        k3 = velocity(u, *m.eval(t_mid, x + half[:, None] * k2, check=False))
+        k4 = velocity(u, *m.eval(t_next, x + dt[:, None] * k3, check=False))
         v = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         x = x + dt[:, None] * v
         i += 1
-        t = t_launch + i * dt
         for run, sl in zip(live, slices):
-            run.policy.after_step(float(t[sl.start]), x[sl])
-            run.times.append(float(t[sl.start]))
+            run.policy.after_step(float(run.times[i]), x[sl])
             run.points.append(x[sl])
             run.velocities.append(v[sl])
-        while live and live[-1].n_steps == i:
+        while live and live[-1].times.size == i + 1:
             run, sl = live.pop(), slices.pop()
             paths[run.index] = _Path(
-                m, np.asarray(run.times), np.stack(run.points), np.stack(run.velocities),
-                (t_stop - run.t0) / run.n_steps / 2, record_every,
+                m, run.times, np.stack(run.points), np.stack(run.velocities), record_every
             )
         if live:
-            n = slices[-1].stop
-            x, t_launch, dt, t = x[:n], t_launch[:n], dt[:n], t[:n]
+            x = x[:slices[-1].stop]
     return paths, truncated
 
 
@@ -401,10 +422,12 @@ def integrate_causal_curve(m, start, direction, t_end, step):
     """Integrate one extremal (null) causal curve from start to t = t_end.
 
     ``direction`` is either a fixed spatial direction vector or a direction
-    policy object.  Leaving the validity window truncates the curve and sets
-    its flag.  The curve keeps every tenth step (and the last); its speed
-    certificate covers every step and costs one more metric evaluation,
-    over the curve's step midpoints.
+    policy object.  The curve takes max(1, round(DWELL / step)) equal steps
+    per dwell segment from its start (see ``_integrate_bundle``).  Leaving
+    the validity window truncates the curve and sets its flag.  The curve
+    keeps every tenth step (and the last); its speed certificate covers
+    every step and costs one more metric evaluation, over the curve's step
+    midpoints.
     """
     if step <= 0:
         raise DomainError("step must be positive")
@@ -439,13 +462,72 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class ConeContainmentReport:
-    """Outcome of sampling extremal curves against the reachable-ball bound."""
+    """Outcome of sampling extremal curves against the reachable-ball bound,
+    as decided on the step-doubling ladder of ``verify_cone_containment``.
+
+    ``worst_margin`` and ``error`` belong to the deciding curve, so the check
+    passed iff worst_margin - error >= -tol.
+    """
 
     passed: bool
-    worst_margin: float  # min over curves of |t_start| - arrival distance
+    worst_margin: float  # the deciding curve's |t_start| - arrival distance
+    error: float  # its step-doubling error estimate (NaN for a non-finite curve)
+    step: float  # the finest step integrated
     n_curves: int
     witness: CausalCurve | None = None
     detail: str = ""
+
+
+def _ladder(step: float) -> range:
+    """The levels k of the containment ladder, at step DWELL / 2^k, to
+    integrate for a configured ``step``.  Decisions start at the first k >= 2
+    with DWELL / 2^k <= 8 * step, so the ladder starts one level below it.
+    The finest level is the last whose step is not below ``step``, but at
+    least 2: a ``step`` above DWELL / 4 still decides at DWELL / 4."""
+    first = finest = 2
+    while DWELL / 2 ** (finest + 1) >= step:
+        finest += 1
+    while first < finest and DWELL / 2 ** first > 8 * step:
+        first += 1
+    return range(first - 1, finest + 1)
+
+
+def _containment_groups(domain, ref, n_samples, seed, t_start_range):
+    """The seeded curves of a containment check as policy groups
+    ``(t0, x0, policy)``: curve i goes to policy i mod 4, and each group
+    launches at its earliest sampled start."""
+    rng = np.random.default_rng(seed)
+    d = domain.dimension
+    lo, hi = t_start_range
+    raw = rng.standard_normal((n_samples, d))
+    dirs = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    starts_x = rng.uniform(0.0, 1.0, (n_samples, d)) * np.asarray(domain.circumferences)
+    starts_t = rng.uniform(lo, hi, n_samples) if lo < hi else np.full(n_samples, lo)
+    policies = [
+        lambda u: ConstantDirection(u),
+        lambda u: PiecewiseRandomDirection(seed=seed + 1),
+        lambda u: EigenDirection(ref),
+        lambda u: HoldAtMaxDirection(u, domain, ref),
+    ]
+    groups = []
+    for gi, make in enumerate(policies):
+        idx = np.arange(gi, n_samples, len(policies))
+        if idx.size:
+            groups.append((float(np.min(starts_t[idx])), starts_x[idx], make(dirs[idx])))
+    return groups
+
+
+def _ladder_level(m, ref, groups, step):
+    """Integrate the groups to t = 0 at one step: every curve's margin
+    |t0| - (reference distance travelled), in group order, and the paths."""
+    for t0, x0, policy in groups:
+        policy.prepare(x0.shape[0], t0, 0.0, m.domain, None)
+    paths, _ = _integrate_bundle(m, groups, 0.0, step)
+    margins = np.concatenate([
+        abs(t0) - np.atleast_1d(ref_distance(m.domain, ref, x0, path.points[-1]))
+        for (t0, x0, _), path in zip(groups, paths)
+    ])
+    return margins, paths
 
 
 # a curve that reaches +-inf goes NaN (inf - inf, inf % L) and is the witness
@@ -465,67 +547,69 @@ def verify_cone_containment(
 
     The curves form four direction-policy groups, each launched at its
     earliest sampled start and integrated together as one lockstep bundle.
-    Only a failing check computes a speed certificate: the witness's."""
-    rng = np.random.default_rng(seed)
-    domain = m.domain
-    d = domain.dimension
-    ref = reference_field(domain, j, g0)
+    The bundle runs on a ladder of steps DWELL / 2^k (see ``_ladder``), each
+    grid nested in the next; curve i's error at level k is the undivided
+    step-doubling estimate e_i = |m_i(k) - m_i(k-1)| of its margin m_i.  At
+    each deciding level the check passes if min(m_i - e_i) >= -tol, fails if
+    some m_i + e_i < -tol (the smallest such curve is the witness), and
+    otherwise halves the step.  Still undecided at the finest level, it
+    fails as unresolved, with the curve of smallest m_i - e_i as witness.  A
+    curve that turns non-finite fails the check at once as its witness.  A
+    feature in t narrower than the deciding level's stage spacing can go
+    unseen by both levels of the estimate.  Only a failing check computes a
+    speed certificate: the witness's."""
     lo, hi = t_start_range
     if lo > hi or hi > 0:
         raise DomainError("t_start_range must satisfy lo <= hi < 0 or hi == 0")
-
-    raw = rng.standard_normal((n_samples, d))
-    dirs = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
-    starts_x = rng.uniform(0.0, 1.0, (n_samples, d)) * np.asarray(domain.circumferences)
-    starts_t = rng.uniform(lo, hi, n_samples) if lo < hi else np.full(n_samples, lo)
-
-    policies = [
-        lambda u: ConstantDirection(u),
-        lambda u: PiecewiseRandomDirection(seed=seed + 1),
-        lambda u: EigenDirection(ref),
-        lambda u: HoldAtMaxDirection(u, domain, ref),
-    ]
-    groups = []
-    for gi, make in enumerate(policies):
-        idx = np.arange(gi, n_samples, len(policies))
-        if idx.size == 0:
-            continue
-        # one launch time per policy group, so each group integrates on a
-        # common time grid; the group's earliest sampled start is used
-        t0 = float(np.min(starts_t[idx]))
-        policy = make(dirs[idx])
-        policy.prepare(idx.size, t0, 0.0, domain, rng)
-        groups.append((t0, starts_x[idx], policy))
-    paths, _ = _integrate_bundle(m, groups, 0.0, step)
-
-    # a curve whose state or distance is not finite ranks below every other
-    # one (first such curve wins), so it fails the check as its witness
-    rank, worst, worst_curve = INF, INF, None
-    for (t0, x0, policy), path in zip(groups, paths):
-        dist = np.atleast_1d(ref_distance(domain, ref, x0, path.points[-1]))
-        margin = abs(t0) - dist
-        ranks = np.where(np.isfinite(margin), margin, -INF)
-        i = int(np.argmin(ranks))
-        if ranks[i] < rank:
-            rank, worst, worst_curve = ranks[i], float(margin[i]), (path, i, policy.name)
-    passed = bool(rank >= -tol)
-    witness = None
+    if n_samples < 1:
+        raise DomainError("n_samples must be positive")
+    domain = m.domain
+    ref = reference_field(domain, j, g0)
+    groups = _containment_groups(domain, ref, n_samples, seed, t_start_range)
+    levels = _ladder(step)
+    verdict, previous = None, None
+    for k in levels:
+        h = DWELL / 2 ** k
+        margin, paths = _ladder_level(m, ref, groups, h)
+        if not np.isfinite(margin).all():
+            # the first curve whose state or distance is not finite
+            verdict, i = "non-finite", int(np.argmax(~np.isfinite(margin)))
+            error = np.full(margin.shape, np.nan)
+        elif previous is not None:
+            error = np.abs(margin - previous)
+            low, high = margin - error, margin + error
+            if low.min() >= -tol:
+                verdict, i = "passed", int(np.argmin(low))
+            elif high.min() < -tol:
+                verdict, i = "failed", int(np.argmin(high))
+            elif k == levels[-1]:
+                verdict, i = "unresolved", int(np.argmin(low))
+        if verdict:
+            break
+        previous = margin
+    worst, error = float(margin[i]), float(error[i])
+    passed = verdict == "passed"
+    witness, detail = None, ""
     if not passed:
-        path, i, name = worst_curve
+        sizes = [x0.shape[0] for _, x0, _ in groups]
+        gi = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+        row = i - sum(sizes[:gi])
+        path, name = paths[gi], groups[gi][2].name
         witness = CausalCurve(
             times=path.times,
-            points=path.points[:, i, :],
+            points=path.points[:, row, :],
             direction="future",
-            max_speed_ratio=path.speed_ratio(i),
+            max_speed_ratio=path.speed_ratio(row),
             policy=name,
         )
-    detail = "" if passed else (
-        f"curve ({witness.policy}) from t={witness.times[0]:.4g}, "
-        f"x={witness.points[0].tolist()} "
-        + (f"arrived at distance exceeding the bound by {-worst:.4g}" if np.isfinite(worst)
-           else f"reached a non-finite state (margin {worst})")
-    )
-    return ConeContainmentReport(passed, worst, n_samples, witness, detail)
+        detail = f"curve ({name}) from t={witness.times[0]:.4g}, x={witness.points[0].tolist()} " + {
+            "failed": f"arrived at distance exceeding the bound by {-worst:.4g} "
+                      f"(± {error:.2g} at step {h:.4g})",
+            "non-finite": f"reached a non-finite state (margin {worst})",
+            "unresolved": f"is unresolved at the finest step {h:.4g}: margin {worst:.4g} "
+                          f"± {error:.2g} straddles the tolerance -{tol:.2g}",
+        }[verdict]
+    return ConeContainmentReport(passed, worst, error, h, n_samples, witness, detail)
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,13 @@ def _certified_reference(pipeline: str, g: MetricField):
     return ScalarField.constant(1.0), g0
 
 
+def _join_settings(ver) -> dict:
+    """The verification settings a join build certifies its halves with.
+    Their containment curves start in (max(t_window[0], -2), -0.5), the
+    join's own range, not at ``curve_start``."""
+    return dict(n_verify_curves=ver.samples, verify_tol=ver.tolerance, verify_step=ver.step)
+
+
 def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunReport:
     """Execute the configured pipeline, write dumps and the report."""
     report = RunReport(
@@ -335,7 +342,7 @@ def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunR
     elif config.pipeline == "join_ultrastatic":
         with _Timer(report, "join_ultrastatic"):
             artifact = surgery.join_ultrastatic(
-                g, t_window=ver.t_window, seed=ver.seed
+                g, t_window=ver.t_window, seed=ver.seed, **_join_settings(ver)
             )
         _add_cert_checks(report, artifact.certificates)
         with _Timer(report, "export"):
@@ -345,7 +352,7 @@ def run_build(config: ScenarioConfig, out_dir: str, quiet: bool = False) -> RunR
     else:  # join_pair
         with _Timer(report, "asymptotic_join"):
             artifact = surgery.asymptotic_join(
-                g, h, t_window=ver.t_window, seed=ver.seed
+                g, h, t_window=ver.t_window, seed=ver.seed, **_join_settings(ver)
             )
         _add_cert_checks(report, artifact.certificates)
         with _Timer(report, "diamond_checks"):

@@ -412,13 +412,17 @@ def make_globally_hyperbolic(
     verify: bool = True,
     seed: int = 0,
     n_verify_curves: int = 64,
+    verify_tol: float = 1e-4,
+    verify_step: float = 4e-3,
 ) -> StretchResult:
     """Stretch the spatial part so every causal cone fits inside j g_0.
 
     Composite of cone_bound_factor -> smooth_majorant -> stretch_metric,
     with j = 1 unless given.  If the input is constant in t in the past, the
     factor is too; with ``already_gh_after=a`` the factor is pinned to 1 on
-    (a, inf).
+    (a, inf).  With ``verify``, the certificates run with ``n_verify_curves``
+    containment curves launched from (max(t_window[0], -2), -0.5), at
+    tolerance ``verify_tol`` and finest step ``verify_step``.
     """
     with _stage("completeness_factor"):
         if g0 is None:
@@ -441,7 +445,7 @@ def make_globally_hyperbolic(
         with _stage("verify"):
             certificates = stretch_certificates(
                 stretched, j, g0, t_window, n_curves=n_verify_curves, seed=seed,
-                t_start_range=(max(t_window[0], -2.0), -0.5), tol=1e-4, step=4e-3,
+                t_start_range=(max(t_window[0], -2.0), -0.5), tol=verify_tol, step=verify_step,
             )
             for name, cert in certificates.items():
                 if not cert.passed:
@@ -502,7 +506,7 @@ def stretch_certificates(
     """The three Theorem-1 certificates of a stretched metric, in report order:
     per-slab speeds against j g_0, the grid cone inequality, and cone
     containment by ``n_curves`` extremal curves (``tol`` and ``step`` are
-    the containment tolerance and RK4 step)."""
+    the containment tolerance and finest RK4 step)."""
     ref = causality.reference_field(stretched.domain, j, g0)
     return {
         "global_hyperbolicity": causality.verify_global_hyperbolicity(
@@ -648,20 +652,22 @@ def splice(
 
 
 def half_join(g: MetricField, t_window=(-3.0, 3.0), seed: int = 0,
-              verify: bool = True) -> tuple[MetricField, MetricField, StretchResult]:
+              verify: bool = True, **settings) -> tuple[MetricField, MetricField, StretchResult]:
     """Build the globally hyperbolic metric equal to g in the future and
     ultrastatic in the past, plus its ultrastatic tail.
 
     Returns (gamma, u, stretch_result): gamma equals g on [1, inf) and is
     constant with unit lapse on (-inf, 0]; u is -dt^2 + (gamma's frozen
-    spatial form) on all of R.
+    spatial form) on all of R.  ``settings`` (``n_verify_curves``,
+    ``verify_tol``, ``verify_step``) go to ``make_globally_hyperbolic``,
+    whose containment curves start in (max(t_window[0], -2), -0.5).
     """
     with _stage("normalize_conformal"):
         g1 = normalize_conformal(g)
     with _stage("freeze_past"):
         k = freeze_past(g1)
     result = make_globally_hyperbolic(
-        k, already_gh_after=1.0, t_window=t_window, seed=seed, verify=verify
+        k, already_gh_after=1.0, t_window=t_window, seed=seed, verify=verify, **settings
     )
     with _stage("ultrastatic_tail"):
         u = ultrastatic_tail(result.metric)
@@ -669,9 +675,10 @@ def half_join(g: MetricField, t_window=(-3.0, 3.0), seed: int = 0,
 
 
 def join_ultrastatic(g: MetricField, t_window=(-3.0, 3.0), seed: int = 0,
-                     verify: bool = True) -> JoinArtifact:
-    """Asymptotic join of g with an ultrastatic metric: the half pipeline."""
-    gamma, u, result = half_join(g, t_window=t_window, seed=seed, verify=verify)
+                     verify: bool = True, **settings) -> JoinArtifact:
+    """Asymptotic join of g with an ultrastatic metric: the half pipeline
+    (``settings`` as for ``half_join``)."""
+    gamma, u, result = half_join(g, t_window=t_window, seed=seed, verify=verify, **settings)
     certificates = dict(result.certificates)
     certificates["future_isometry"] = causality.check_isometry_report(
         gamma, g, window=(1.0, 1.0 + 2.0), shift=0.0, tol=1e-10
@@ -699,20 +706,24 @@ def asymptotic_join(
     seed: int = 0,
     splice_tol: float = 1e-9,
     verify: bool = True,
+    **settings,
 ) -> JoinArtifact:
     """Globally hyperbolic metric equal to g far in the future and to h far in
     the past, glued through a convex ultrastatic interpolation.
 
     The output coincides with g on [4, inf) after the recorded time shift
     (output at tau equals g at tau - 3) and with h on (-inf, -1] (no shift).
+    ``settings`` go to both halves, as for ``half_join``.
     """
     if g.domain != h.domain:
         raise ShapeError("asymptotic join needs metrics over the same spatial domain")
     with _stage("half_join(g)"):
-        gamma_g, u_g, res_g = half_join(g, t_window=t_window, seed=seed, verify=verify)
+        gamma_g, u_g, res_g = half_join(
+            g, t_window=t_window, seed=seed, verify=verify, **settings
+        )
     with _stage("half_join(reversed h)"):
         gamma_h, u_h, res_h = half_join(
-            time_reverse(h), t_window=t_window, seed=seed, verify=verify
+            time_reverse(h), t_window=t_window, seed=seed, verify=verify, **settings
         )
     with _stage("interpolate_ultrastatic"):
         mid = interpolate_ultrastatic(u_h, u_g)

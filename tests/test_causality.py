@@ -230,6 +230,8 @@ def test_cone_containment_rejects_violating_metric(circle):
     )
     assert not report.passed
     assert report.worst_margin < -1e-4
+    # decided as a violation, not left unresolved
+    assert report.worst_margin + report.error < -1e-4
     assert report.witness is not None
     assert "exceed" in report.detail
     # witness is reproducible under the same seed
@@ -254,6 +256,58 @@ def test_cone_containment_fails_on_a_nan_curve(circle, bad):
     assert report.witness is not None
     assert not np.isfinite(report.witness.points[-1]).all()
     assert "non-finite" in report.detail
+
+
+def _lapse_only(circle, lapse):
+    """-lapse(t) dt^2 + dx^2 on the circle: against the unit reference a
+    curve's margin is |t0| - integral of sqrt(lapse) (no curve wraps)."""
+    return MetricField(circle, lambda t, x: (lapse(t), np.ones((t.size, 1, 1))))
+
+
+@pytest.mark.parametrize("centre", [-1.1, -1.37])
+def test_cone_containment_sees_a_narrow_lapse_bump(circle, centre):
+    """A lapse bump 1 + 3 exp(-((t - c)/0.01)^2) carries every curve that
+    crosses it 0.01 * integral(sqrt(1 + 3 exp(-u^2)) - 1) ~ 0.0195 beyond the
+    reference ball; at step 0.002 the ladder measures that margin within its
+    error estimate and fails the check with a witness."""
+    m = _lapse_only(circle, lambda t: 1.0 + 3.0 * np.exp(-(((t - centre) / 0.01) ** 2)))
+    u = np.linspace(-10.0, 10.0, 200_001)
+    exact = -0.01 * np.trapezoid(np.sqrt(1.0 + 3.0 * np.exp(-u * u)) - 1.0, u)
+    report = verify_cone_containment(
+        m, ScalarField.constant(1.0), _identity_ref(circle), n_samples=16, seed=0, step=0.002,
+    )
+    assert not report.passed
+    assert report.witness is not None and "exceed" in report.detail
+    assert report.worst_margin + report.error < -1e-4
+    assert abs(report.worst_margin - exact) <= report.error + 1e-6
+    assert report.step >= 0.002
+
+
+def _undecided(circle):
+    """A lapse (1 + 0.3 cos(16 pi (t + 2)))^2, period 1/8: from t0 = -2, the
+    DWELL/2 level samples the cosine only at +-1 and reads the margin 0.2,
+    the DWELL/4 level averages it out and reads 0, so at step 0.05, whose
+    finest level is DWELL/4, the check cannot decide."""
+    return _lapse_only(circle, lambda t: (1.0 + 0.3 * np.cos(16 * np.pi * (t + 2.0))) ** 2)
+
+
+def test_cone_containment_fails_an_undecided_bundle_as_unresolved(circle):
+    report = verify_cone_containment(
+        _undecided(circle), ScalarField.constant(1.0), _identity_ref(circle),
+        n_samples=8, seed=0, t_start_range=(-2.0, -2.0), step=0.05,
+    )
+    assert not report.passed
+    assert report.step == causality.DWELL / 4
+    assert report.worst_margin == pytest.approx(0.0, abs=1e-12)
+    assert report.error == pytest.approx(0.2, rel=1e-9)
+    assert report.witness is not None
+    assert "unresolved at the finest step 0.0625" in report.detail
+    # a finer configured step lets the ladder go on and decide
+    finer = verify_cone_containment(
+        _undecided(circle), ScalarField.constant(1.0), _identity_ref(circle),
+        n_samples=8, seed=0, t_start_range=(-2.0, -2.0), step=0.01,
+    )
+    assert finer.passed and finer.step == causality.DWELL / 8
 
 
 def test_cone_containment_validates_start_range(flrw_circle):
@@ -346,7 +400,7 @@ class _RecordingPolicy(ConstantDirection):
 
 def test_zero_span_bundle_checks_launch_points_only(circle, monkeypatch):
     """A group launched at t_end takes no step: one checked evaluation at the
-    launch points, no policy call, zero margin."""
+    launch points per integration, no policy call, zero margin."""
     m = flrw_exp(circle)
     evals = []
     eval_ = MetricField.eval
@@ -371,7 +425,8 @@ def test_zero_span_bundle_checks_launch_points_only(circle, monkeypatch):
     )
     assert report.passed and report.worst_margin == 0.0
     assert all(check and np.all(t == 0.0) for t, check in evals)
-    assert len(evals) == 4  # one per policy group
+    # one per policy group at each of the two levels the ladder decides on
+    assert len(evals) == 8
 
     negative = MetricField(circle, lambda t, x: (-np.ones_like(t), m.fn(t, x)[1]))
     with pytest.raises(DataError, match="non-positive lapse"):
@@ -388,6 +443,8 @@ def _inline_bundle(m, groups, t_end, step, record_every=1):
     """The bundle integrator with its speed certificate inline, as it was
     before the certificate was deferred: after every step, one evaluation at
     each running curve's step midpoint, folded into a running maximum from 0.
+    It steps on the integrator's grid (``_step_times``) and holds each
+    step's directions through its stages, as the integrator does.
     Returns ([(times, points, ratios) per group], truncated)."""
     lo, hi = m.window
     t_stop = float(np.clip(t_end, lo, hi))
@@ -398,58 +455,57 @@ def _inline_bundle(m, groups, t_end, step, record_every=1):
         if t_stop - t0 == 0.0:
             paths[index] = (np.array([t0]), x0[None, :, :], np.zeros(x0.shape[0]))
         else:
-            n_steps = max(1, int(round(abs(t_stop - t0) / step)))
-            live.append([index, t0, n_steps, x0, policy, [t0], [x0]])
+            grid = causality._step_times(t0, t_stop, step)
+            live.append([index, grid, x0, policy, [t0], [x0]])
     if not live:
         return paths, t_stop != t_end
-    live.sort(key=lambda run: -run[2])
-    bounds = np.cumsum([0] + [run[3].shape[0] for run in live])
+    live.sort(key=lambda run: -run[1].size)
+    bounds = np.cumsum([0] + [run[2].shape[0] for run in live])
     slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    sizes = np.diff(bounds)
-    t_launch = np.repeat([run[1] for run in live], sizes)
-    dt = np.repeat([(t_stop - run[1]) / run[2] for run in live], sizes)
-    t = t_launch
-    x = np.concatenate([run[3] for run in live])
+    x = np.concatenate([run[2] for run in live])
     max_ratio = np.zeros(x.shape[0])
     for run in live:
-        run[4].after_step(run[1], run[3])
+        run[3].after_step(float(run[1][0]), run[2])
 
-    def rhs(ts, pts):
-        lam, g = m.eval(ts, pts, check=False)
-        u = np.concatenate([
-            np.asarray(run[4].directions(float(ts[sl.start]), pts[sl], g[sl]), dtype=float)
-            for run, sl in zip(live, slices)
-        ])
+    def rate(u, lam, g):
         guu = causality._quadratic_form(u, g)
         sigma = np.sqrt(np.where(guu > 0, lam / np.where(guu > 0, guu, 1.0), 0.0))
         return sigma[:, None] * u
 
     i = 0
     while live:
+        t = np.concatenate([np.full(sl.stop - sl.start, run[1][i]) for run, sl in zip(live, slices)])
+        t_next = np.concatenate([np.full(sl.stop - sl.start, run[1][i + 1])
+                                 for run, sl in zip(live, slices)])
+        dt = t_next - t
         half = dt / 2
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half[:, None] * k1)
-        k3 = rhs(t + half, x + half[:, None] * k2)
-        k4 = rhs(t + dt, x + dt[:, None] * k3)
+        lam, g = m.eval(t, x, check=False)
+        u = np.concatenate([
+            np.asarray(run[3].directions(float(run[1][i]), x[sl], g[sl]), dtype=float)
+            for run, sl in zip(live, slices)
+        ])
+        k1 = rate(u, lam, g)
+        k2 = rate(u, *m.eval(t + half, x + half[:, None] * k1, check=False))
+        k3 = rate(u, *m.eval(t + half, x + half[:, None] * k2, check=False))
+        k4 = rate(u, *m.eval(t_next, x + dt[:, None] * k3, check=False))
         v = (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
         x_prev = x
         x = x + dt[:, None] * v
         i += 1
-        t = t_launch + i * dt
         for run, sl in zip(live, slices):
-            run[4].after_step(float(t[sl.start]), x[sl])
-        lam, g = m.eval(t - half, (x_prev + x) / 2, check=False)
+            run[3].after_step(float(run[1][i]), x[sl])
+        lam, g = m.eval(t + half, (x_prev + x) / 2, check=False)
         max_ratio = np.maximum(max_ratio, causality._quadratic_form(v, g) / lam)
         for run, sl in zip(live, slices):
-            if i % record_every == 0 or i == run[2]:
-                run[5].append(float(t[sl.start]))
-                run[6].append(x[sl])
-        while live and live[-1][2] == i:
+            if i % record_every == 0 or i == run[1].size - 1:
+                run[4].append(run[1][i])
+                run[5].append(x[sl])
+        while live and live[-1][1].size == i + 1:
             run, sl = live.pop(), slices.pop()
-            paths[run[0]] = (np.asarray(run[5]), np.stack(run[6]), max_ratio[sl])
+            paths[run[0]] = (np.asarray(run[4]), np.stack(run[5]), max_ratio[sl])
         if live:
             n = slices[-1].stop
-            x, t_launch, dt, t, max_ratio = x[:n], t_launch[:n], dt[:n], t[:n], max_ratio[:n]
+            x, max_ratio = x[:n], max_ratio[:n]
     return paths, t_stop != t_end
 
 
@@ -546,7 +602,8 @@ def test_single_curve_ratio_equals_the_inline_one(ratio_metrics, case):
     [(times, points, ratios)], _ = _inline_bundle(
         m, [(start[0], start[1].reshape(1, -1), policy)], 0.0, 0.01, record_every=10
     )
-    assert times.size == 14  # the launch, every tenth of 123 steps, the last
+    # the launch, every tenth of 125 steps (five dwell segments of 25), the last
+    assert times.size == 14
     np.testing.assert_array_equal(curve.times, times)
     np.testing.assert_array_equal(curve.points, points[:, 0, :])
     assert curve.max_speed_ratio.hex() == float(ratios[0]).hex()
@@ -555,9 +612,11 @@ def test_single_curve_ratio_equals_the_inline_one(ratio_metrics, case):
 
 
 def test_containment_evaluates_four_times_per_step(bundle_cases, monkeypatch):
-    """A passing containment check evaluates the metric once per RK4 stage
-    and nothing more; a failing one adds one evaluation, for its witness's
-    speed certificate."""
+    """A passing containment check evaluates the metric once per RK4 stage of
+    each ladder level it integrates and nothing more; a failing one adds one
+    evaluation, for its witness's speed certificate.  At step 0.05 the ladder
+    integrates DWELL/2 and DWELL/4: 2 + 4 steps per dwell segment of the
+    earliest group."""
     calls = []
     eval_ = MetricField.eval
 
@@ -573,13 +632,104 @@ def test_containment_evaluates_four_times_per_step(bundle_cases, monkeypatch):
             report = verify_cone_containment(m, j, g0, n_samples=10, seed=4,
                                              t_start_range=t_range, step=0.05)
             assert report.passed is passes
+            assert report.step == causality.DWELL / 4
             # the first stage covers every group at its launch time
-            n_steps = round(-calls[0].min() / 0.05)
-            assert len(calls) == 4 * n_steps + (0 if passes else 1)
+            n_segments = int(np.ceil(-calls[0].min() / causality.DWELL))
+            assert len(calls) == 4 * n_segments * (2 + 4) + (0 if passes else 1)
             if t_range[0] == t_range[1]:
-                assert n_steps == 20
+                assert n_segments == 4
             if not passes:
                 assert report.witness.max_speed_ratio > 0.0
+
+
+@pytest.mark.parametrize("step, levels", [
+    (0.1, range(1, 3)), (0.05, range(1, 3)), (0.02, range(1, 4)), (0.005, range(2, 6)),
+    (0.004, range(2, 6)), (0.002, range(3, 7)), (0.001, range(4, 8)),
+])
+def test_ladder_levels(step, levels):
+    """Decisions start at the first k >= 2 with DWELL/2^k <= 8 step; the finest
+    level is the last with DWELL/2^k >= step, but at least DWELL/4."""
+    assert causality._ladder(step) == levels
+
+
+class _HookRecorder(PiecewiseRandomDirection):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def directions(self, t, x, g):
+        self.calls.append(("directions", t))
+        return super().directions(t, x, g)
+
+    def after_step(self, t, x):
+        self.calls.append(("after_step", t))
+
+
+def test_directions_are_asked_once_per_step_at_its_start(circle):
+    """At every ladder level the policy is asked for directions once per
+    step, at the step's start; every dwell edge t0 + k DWELL is a grid time,
+    and each level's grid contains the one before."""
+    m = flrw_exp(circle, rate=0.3)
+    t0 = -1.9
+    edges = {t0 + causality.DWELL * k for k in range(8)}
+    previous = set()
+    for k in range(6):
+        policy = _HookRecorder(seed=3)
+        policy.prepare(2, t0, 0.0, circle, None)
+        causality._integrate_bundle(m, [(t0, np.array([[0.5], [2.0]]), policy)], 0.0,
+                                    causality.DWELL / 2 ** k)
+        kinds = [kind for kind, _ in policy.calls]
+        n_steps = 8 * 2 ** k  # seven whole dwell segments and a shorter last one
+        assert kinds == ["after_step"] + ["directions", "after_step"] * n_steps
+        grid = [t for kind, t in policy.calls if kind == "after_step"]
+        asked = [t for kind, t in policy.calls if kind == "directions"]
+        assert asked == grid[:-1]
+        assert grid[0] == t0 and grid[-1] == 0.0
+        assert edges <= set(grid) and previous <= set(grid)
+        # each edge switches to the next direction of the table
+        for e, seg in zip(sorted(edges), range(8)):
+            np.testing.assert_array_equal(policy.directions(e, None, None), policy.table[:, seg])
+        previous = set(grid)
+
+
+@pytest.fixture(scope="module")
+def anisotropic_stretch():
+    """The anisotropic-torus demo's stretched metric, its reference and the
+    demo's containment groups (64 curves from t = -2)."""
+    import importlib.resources
+    import json
+
+    from causal_surgery import parse_config
+
+    text = (importlib.resources.files("causal_surgery.demos")
+            / "theorem1_anisotropic_torus.json").read_text()
+    cfg = parse_config(json.loads(text))
+    g = build_metric(cfg.metric_g, cfg.domain)
+    j, g0 = ScalarField.constant(1.0), g.spatial_slice(0.0)
+    stretched = make_globally_hyperbolic(g, j=j, g0=g0, seed=cfg.verification.seed,
+                                         verify=False).metric
+    ref = causality.reference_field(cfg.domain, j, g0)
+    groups = causality._containment_groups(cfg.domain, ref, 64, cfg.verification.seed,
+                                           (-2.0, -2.0))
+    return stretched, ref, groups
+
+
+def test_every_group_margin_converges_at_third_order(anisotropic_stretch):
+    """Along the ladder (steps DWELL/2 .. DWELL/64), each policy group's worst
+    margin changes by at most 1/8 of its previous change, or by less than
+    1e-10, where the rounding of some thousand steps sits."""
+    m, ref, groups = anisotropic_stretch
+    sizes = np.cumsum([x0.shape[0] for _, x0, _ in groups])[:-1]
+    worst = np.array([
+        [part.min() for part in np.split(
+            causality._ladder_level(m, ref, groups, causality.DWELL / 2 ** k)[0], sizes)]
+        for k in range(1, 7)
+    ])  # (levels, groups)
+    change = np.abs(np.diff(worst, axis=0))
+    assert worst.shape[1] == 4
+    assert np.all(change[0] > 1e-6)  # the coarse levels do differ
+    ok = (change[1:] <= change[:-1] / 8) | (change[1:] < 1e-10)
+    assert ok.all(), change
 
 
 # -- global hyperbolicity certificate --------------------------------------

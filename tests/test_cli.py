@@ -99,6 +99,26 @@ def test_verify_failing_metric_exit_one(config_file, tmp_path):
     assert "[FAIL]" in res.output
 
 
+def test_verify_unresolved_containment_exit_one(tmp_path):
+    """A dump whose containment the ladder cannot decide at its finest step
+    (lapse (1 + 0.3 cos(16 pi (t + 2)))^2, step 0.05; see
+    test_cone_containment_fails_an_undecided_bundle_as_unresolved) fails
+    the check as unresolved: exit 1, not exit 2 and not a pass."""
+    domain = SpatialDomain(1, (2 * np.pi,), (32,))
+    m = MetricField(domain, lambda t, x: (
+        (1.0 + 0.3 * np.cos(16 * np.pi * (t + 2.0))) ** 2, np.ones((t.size, 1, 1))))
+    dump = str(tmp_path / "undecided.csv")
+    export_fields(m, dump, t_grid=np.linspace(-2.0, 0.0, 401))
+    cfg = dict(CONFIG, verification=dict(CONFIG["verification"], step=0.05, curve_start=-2.0))
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(cfg))
+    res = invoke("verify", "--config", str(p), dump)
+    assert res.exit_code == 1, res.output
+    assert "[PASS] cli-test: global_hyperbolicity" in res.output
+    assert "[FAIL] cli-test: cone_containment (curve (" in res.output
+    assert "unresolved at the finest step 0.0625" in res.output
+
+
 def test_verify_good_dump_exit_zero(config_file, tmp_path):
     out = str(tmp_path / "out")
     assert invoke("build", "--config", config_file, "--out", out, "--quiet").exit_code == 0
@@ -119,6 +139,36 @@ def test_build_and_verify_a_window_of_partial_slabs(tmp_path):
     assert res.exit_code == 0, res.output
     res = invoke("verify", "--config", str(p), os.path.join(out, "metric.csv"), "--samples", "8")
     assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("name, halves", [("join-ultrastatic", 1), ("join-pair", 2)])
+def test_join_build_takes_the_verification_settings(tmp_path, monkeypatch, name, halves):
+    """A join build certifies each half with the config's curve count,
+    tolerance and step (through --samples and --tol too), at the join's own
+    start range."""
+    from causal_surgery import causality
+
+    seen = []
+    verify = causality.verify_cone_containment
+
+    def spy(*args, **kwargs):
+        report = verify(*args, **kwargs)
+        seen.append((kwargs, report.n_curves))
+        return report
+
+    monkeypatch.setattr(causality, "verify_cone_containment", spy)
+    raw = json.loads((importlib.resources.files("causal_surgery.demos")
+                      / _DEMO_FILES[name]).read_bytes())
+    raw["verification"].update(samples=8, step=0.01)
+    p = tmp_path / "join.json"
+    p.write_text(json.dumps(raw))
+    assert run_build(load_config(str(p)), str(tmp_path / "a"), quiet=True).exit_code == 0
+    res = invoke("build", "--config", str(p), "--out", str(tmp_path / "b"), "--quiet",
+                 "--samples", "12", "--tol", "0.001")
+    assert res.exit_code == 0, res.output
+    assert [(k["n_samples"], k["tol"], k["step"], n) for k, n in seen] == (
+        [(8, 1e-4, 0.01, 8)] * halves + [(12, 0.001, 0.01, 12)] * halves)
+    assert all(k["t_start_range"] == (-2.0, -0.5) for k, _ in seen)
 
 
 def test_verify_garbage_dump_exit_two(config_file, tmp_path):
