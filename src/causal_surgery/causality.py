@@ -45,7 +45,6 @@ from .fields import (
 )
 from .profiles import smooth_unit_step
 
-INF = float("inf")
 # the piecewise random policy's dwell, and the coarsest step of the
 # containment ladder; every step of a group lies inside one dwell segment
 DWELL = 0.25
