@@ -8,18 +8,19 @@ import os
 import sys
 
 import click
+import numpy as np
 
-from .config import load_config, parse_config
+from .config import build_metric, load_config, parse_config
 from .errors import CausalSurgeryError, ConfigError, FormatError
-from .runner import EXIT_INPUT_ERROR, run_build, run_verify
+from .runner import EXIT_INPUT_ERROR, export_fields, run_build, run_verify
 
-DEMOS = ("flrw-circle", "anisotropic-torus", "join-ultrastatic", "join-pair")
 _DEMO_FILES = {
     "flrw-circle": "theorem1_flrw_circle.json",
     "anisotropic-torus": "theorem1_anisotropic_torus.json",
     "join-ultrastatic": "join_ultrastatic_flrw.json",
     "join-pair": "join_pair_flrw_ultrastatic.json",
 }
+DEMOS = tuple(_DEMO_FILES)
 
 
 def _fail(exc: Exception) -> "click.exceptions.Exit":
@@ -102,8 +103,6 @@ def verify(config_path, dump, seed, samples, tol, quiet):
     config = _apply_overrides(_load(config_path), seed, samples, tol)
     try:
         report = run_verify(config, dump, quiet=quiet)
-    except (ConfigError, FormatError) as e:
-        raise _fail(e)
     except CausalSurgeryError as e:
         raise _fail(e)
     raise click.exceptions.Exit(report.exit_code)
@@ -115,11 +114,6 @@ def verify(config_path, dump, seed, samples, tol, quiet):
 @_quiet_opt
 def export(config_path, out_dir, quiet):
     """Sample the configured input metric g to CSV, without surgery."""
-    from .config import build_metric
-    from .runner import export_fields
-
-    import numpy as np
-
     config = _load(config_path)
     out_dir = out_dir or config.out_dir or "out"
     try:

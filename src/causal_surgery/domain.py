@@ -1,8 +1,7 @@
 """Spatial domains (flat tori) and symmetric-positive-definite form helpers.
 
 All spatial manifolds here are flat tori T^d = prod_i R/(L_i Z) with d in {1, 2},
-discretized by an evenly spaced periodic grid.  Compactness is what later lets
-the completeness factor default to the constant 1.
+discretized by an evenly spaced periodic grid.
 """
 from __future__ import annotations
 

@@ -282,12 +282,12 @@ def _certified_reference(pipeline: str, g: MetricField):
 
     Both certify against j = 1, as ``make_globally_hyperbolic`` does:
     theorem1 with g's slice at 0; join_ultrastatic with the slice at 0 of
-    its half's input, freeze_past(normalize_conformal(g)).
+    its half's input, ``surgery.half_input(g)``.
     """
     if pipeline == "join_pair":
         return None
     if pipeline == "join_ultrastatic":
-        g = surgery.freeze_past(surgery.normalize_conformal(g))
+        g = surgery.half_input(g)
     g0 = g.spatial_slice(0.0)
     return ScalarField.constant(1.0), g0
 

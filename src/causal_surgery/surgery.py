@@ -382,30 +382,10 @@ def stretch_metric(m: MetricField, f: ScalarField) -> MetricField:
     return MetricField(domain=m.domain, fn=fn, window=m.window)
 
 
-def _constant_in_past(m: MetricField, upto: float = 0.0) -> bool:
-    """Detect lambda_s = lambda_u, g_s = g_u for s, u < upto, sampled at three
-    times on the full grid."""
-    lo = m.window[0]
-    probes = [upto - 2.0, upto - 1.0, upto - 0.25]
-    if lo > probes[0]:
-        return False
-    pts = m.domain.grid_points()
-    lam, g = sample_metric(m, probes[:2], pts, check=False)
-    scale = max(np.max(np.abs(g[0])), np.max(np.abs(lam[0])), 1.0)
-
-    def agrees(lam_s, g_s):
-        return not (
-            np.max(np.abs(lam_s - lam[0])) > 1e-12 * scale
-            or np.max(np.abs(g_s - g[0])) > 1e-12 * scale
-        )
-
-    # the last probe is sampled only once the first two agree
-    return agrees(lam[1], g[1]) and agrees(*sample_metric(m, probes[2:], pts, check=False))
-
-
 def make_globally_hyperbolic(
     m: MetricField,
     already_gh_after: float | None = None,
+    constant_before: float | None = None,
     j: ScalarField | None = None,
     g0: SpdField | None = None,
     t_window: tuple[float, float] = (-3.0, 3.0),
@@ -418,11 +398,13 @@ def make_globally_hyperbolic(
     """Stretch the spatial part so every causal cone fits inside j g_0.
 
     Composite of cone_bound_factor -> smooth_majorant -> stretch_metric,
-    with j = 1 unless given.  If the input is constant in t in the past, the
-    factor is too; with ``already_gh_after=a`` the factor is pinned to 1 on
-    (a, inf).  With ``verify``, the certificates run with ``n_verify_curves``
-    containment curves launched from (max(t_window[0], -2), -0.5), at
-    tolerance ``verify_tol`` and finest step ``verify_step``.
+    with j = 1 unless given.  A caller that makes the input constant in t
+    before ``constant_before=c`` states it, and the factor is constant there
+    too (nothing is detected from samples); with ``already_gh_after=a`` the
+    factor is pinned to 1 on (a, inf).  With ``verify``, the certificates
+    run with ``n_verify_curves`` containment curves launched from
+    (max(t_window[0], -2), -0.5), at tolerance ``verify_tol`` and finest
+    step ``verify_step``.
     """
     with _stage("completeness_factor"):
         if g0 is None:
@@ -432,7 +414,6 @@ def make_globally_hyperbolic(
             j = ScalarField.constant(1.0)
     with _stage("cone_bound_factor"):
         lower = cone_bound_factor(m, j, g0)
-    constant_before = 0.0 if _constant_in_past(m) else None
     with _stage("smooth_majorant"):
         f = smooth_majorant(
             lower, m.domain, t_window,
@@ -651,23 +632,29 @@ def splice(
     return MetricField(domain=a.domain, fn=fn, window=(a.window[0], b.window[1]))
 
 
+def half_input(g: MetricField) -> MetricField:
+    """The input of a join half, freeze_past(normalize_conformal(g)): g in
+    the future, constant with unit lapse on (-inf, 0]."""
+    return freeze_past(normalize_conformal(g))
+
+
 def half_join(g: MetricField, t_window=(-3.0, 3.0), seed: int = 0,
               verify: bool = True, **settings) -> tuple[MetricField, MetricField, StretchResult]:
     """Build the globally hyperbolic metric equal to g in the future and
     ultrastatic in the past, plus its ultrastatic tail.
 
     Returns (gamma, u, stretch_result): gamma equals g on [1, inf) and is
-    constant with unit lapse on (-inf, 0]; u is -dt^2 + (gamma's frozen
+    constant with unit lapse on (-inf, 0], where the factor is stated
+    constant (``constant_before=0``); u is -dt^2 + (gamma's frozen
     spatial form) on all of R.  ``settings`` (``n_verify_curves``,
     ``verify_tol``, ``verify_step``) go to ``make_globally_hyperbolic``,
     whose containment curves start in (max(t_window[0], -2), -0.5).
     """
-    with _stage("normalize_conformal"):
-        g1 = normalize_conformal(g)
     with _stage("freeze_past"):
-        k = freeze_past(g1)
+        k = half_input(g)
     result = make_globally_hyperbolic(
-        k, already_gh_after=1.0, t_window=t_window, seed=seed, verify=verify, **settings
+        k, already_gh_after=1.0, constant_before=0.0, t_window=t_window, seed=seed,
+        verify=verify, **settings
     )
     with _stage("ultrastatic_tail"):
         u = ultrastatic_tail(result.metric)

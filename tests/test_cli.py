@@ -1,6 +1,7 @@
 """CLI and runner: exit codes, CSV dumps, determinism, verify round-trip."""
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 import json
 import os
@@ -62,13 +63,25 @@ def test_cli_import_loads_numpy_only():
 # -- exit codes ------------------------------------------------------------
 
 
-def test_build_success_exit_zero(config_file, tmp_path):
+def _past_oscillation(k):
+    """g11 = 1 - sin(k pi t)^2 / 2 for t < 0, 1 after: it looks constant at
+    t = -2, -1 and -0.25, yet its past is not constant."""
+    return {"catalog": "custom", "params": {"g11": f"1 - 0.5*sin({k}*pi*min(t,0))^2"}}
+
+
+@pytest.mark.parametrize("metric_g", [
+    CONFIG["metric_g"], _past_oscillation(16), _past_oscillation(4),
+], ids=["flrw_exp", "past_oscillation_16pi", "past_oscillation_4pi"])
+def test_build_success_exit_zero(metric_g, tmp_path):
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(dict(CONFIG, metric_g=metric_g)))
     out = str(tmp_path / "out")
-    res = invoke("build", "--config", config_file, "--out", out)
+    res = invoke("build", "--config", str(p), "--out", out)
     assert res.exit_code == 0, res.output
     assert os.path.exists(os.path.join(out, "metric.csv"))
     assert os.path.exists(os.path.join(out, "report.json"))
-    assert "[PASS]" in res.output
+    for check in ("global_hyperbolicity", "cone_inequality", "cone_containment"):
+        assert f"[PASS] cli-test: {check}" in res.output
 
 
 def test_build_bad_config_exit_two(tmp_path):
@@ -207,6 +220,37 @@ def test_demo_dump_reproduces_its_samples(demo_dumps, name):
     upper = [(a, b) for a in range(d) for b in range(a, d)]
     for k, (a, b) in enumerate(upper):
         np.testing.assert_allclose(g[:, a, b], rows[:, 2 + d + k], rtol=1e-12, atol=0)
+
+
+# sha256 of (metric.csv, report.json) of each demo at its default seed
+DEMO_DIGESTS = {
+    "flrw-circle": (
+        "c4b1dff000c2f208ef0da0d0b5172672ad506999d050545da03c731d6a4392ce",
+        "ef6d5b7eba1ca7aae7bbe1ec53ebcf30f115a87d31847881ffa3a61854e06180",
+    ),
+    "anisotropic-torus": (
+        "3f463354fafd38490b0fe2f76eccc7f2eb19f3bd3f0f2cd7b67d49db99f09a53",
+        "69b16099dea234102f799bbbfb30c521ac192d9fa76f43f976cb97e559500030",
+    ),
+    "join-ultrastatic": (
+        "c89d0ea12ce1e3adfcdc7637e577cd93ebf53ef3bded5cf55a2547a29e1fae87",
+        "7df16e6a6207ef0f5e50d85c0e27139403fbc601c0860742b9cbff9dabb138ec",
+    ),
+    "join-pair": (
+        "e1076e689b0a265a2055a2e41256510775276f9dd77d6dc28f058f181dfc76c3",
+        "90e3f4f9e67955aaca695ac4715aa4a587c0891729a0de9719e7b4ae59024104",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEMO_FILES))
+def test_demo_outputs_match_their_pinned_digests(demo_dumps, name):
+    """The deterministic outputs of every demo stay byte-identical; a change
+    that alters them updates DEMO_DIGESTS and says why."""
+    folder = os.path.dirname(demo_dumps[name][1])
+    for fname, want in zip(("metric.csv", "report.json"), DEMO_DIGESTS[name]):
+        with open(os.path.join(folder, fname), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == want, fname
 
 
 def test_verify_anisotropic_torus_dump_at_its_own_tolerance(demo_dumps):

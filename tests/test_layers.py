@@ -193,7 +193,8 @@ def test_join_half_evaluates_base_and_freeze_ramp_once(monkeypatch):
                                      np.exp(t)[:, None, None] * np.ones((t.size, 1, 1))))
     base = MetricField(CIRCLE, base_fn)
     half = make_globally_hyperbolic(
-        freeze_past(normalize_conformal(base)), already_gh_after=1.0, verify=False
+        freeze_past(normalize_conformal(base)), already_gh_after=1.0,
+        constant_before=0.0, verify=False
     ).metric
     rng = np.random.default_rng(0)
     t = np.concatenate([rng.uniform(-2.0, 2.5, 50), [0.0, 1.0]])

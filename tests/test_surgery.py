@@ -317,6 +317,27 @@ def test_make_globally_hyperbolic_2d(torus):
     assert result.certificates["cone_inequality"].passed
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_join_half_factor_is_constant_in_the_stated_past(circle, torus, dim):
+    """The half's input freezes its own past, and the half states it with
+    constant_before=0: every factor row on t <= 0 is the same bits, for an
+    input whose lapse and spatial form vary in t and x."""
+    domain = circle if dim == 1 else torus
+
+    def fn(t, x):
+        a = np.exp(t) * (1.2 + 0.3 * np.sin(x[:, 0] + 4.0 * t))
+        return 1.5 + 0.4 * np.sin(x[:, 0] - t), a[:, None, None] * np.eye(dim)
+
+    k = freeze_past(normalize_conformal(MetricField(domain, fn)))
+    f = make_globally_hyperbolic(
+        k, already_gh_after=1.0, constant_before=0.0, verify=False
+    ).factor
+    x = domain.grid_points()
+    rows = np.stack([f(np.full(len(x), t), x) for t in np.linspace(-3.0, 0.0, 13)])
+    assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+    assert np.ptp(rows[0]) > 0  # the plateau node varies in x
+
+
 # -- normalization, freeze, tails ------------------------------------------
 
 

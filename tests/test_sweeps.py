@@ -178,14 +178,6 @@ def _sweeps(tmp_path):
             lambda: export_fields(flrw, str(tmp_path / "m.csv"), t_grid=ts),
             [(flrw, list(ts))],
         ),
-        "constant_in_past": (
-            lambda: surgery._constant_in_past(ultra),
-            [(ultra, [-2.0, -1.0, -0.25])],
-        ),
-        "constant_in_past_varying": (
-            lambda: surgery._constant_in_past(flrw),
-            [(flrw, [-2.0, -1.0])],
-        ),
         "majorant_slab": (
             lambda: maj._slab(1),
             [(flrw, list(surgery.MAJORANT_NODE_SPACING
@@ -197,8 +189,7 @@ def _sweeps(tmp_path):
 @pytest.mark.parametrize("name", [
     "max_metric_deviation", "verify_global_hyperbolicity", "causal_diamond_extent",
     "check_ultrastatic_report", "check_isometry_report", "verify_convex_bound",
-    "cone_inequality_report", "export_fields", "constant_in_past",
-    "constant_in_past_varying", "majorant_slab",
+    "cone_inequality_report", "export_fields", "majorant_slab",
 ])
 def test_each_sweep_evaluates_once_per_time_value(eval_log, tmp_path, name):
     run, expected = _sweeps(tmp_path)[name]
@@ -269,15 +260,6 @@ def test_majorant_recheck_names_the_earliest_failure():
         f"t={ts[40]}, x={PTS[9].tolist()}; plateau constraints are inconsistent "
         f"with the lower bound"
     )
-
-
-def test_constant_in_past_stops_at_the_first_differing_probe(eval_log):
-    late = _spiked(1.5, spatial=[(-0.25, 3)])
-    assert not surgery._constant_in_past(late)
-    assert _times(eval_log, late) == [-2.0, -1.0, -0.25]
-    early = _spiked(1.5, spatial=[(-1.0, 3), (-0.25, 5)])
-    assert not surgery._constant_in_past(early)
-    assert _times(eval_log, early) == [-2.0, -1.0]
 
 
 # -- NaN samples --------------------------------------------------------------
