@@ -77,6 +77,12 @@ class SpatialDomain:
         return (np.asarray(dx) + L / 2) % L - L / 2
 
 
+def upper_index(d: int) -> np.ndarray:
+    """The index of each entry of a symmetric (d, d) form in its row-major
+    upper triangle, d in {1, 2}."""
+    return np.array([[0]] if d == 1 else [[0, 1], [1, 2]])
+
+
 def sym_part(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 

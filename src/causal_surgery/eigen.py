@@ -3,9 +3,9 @@
 For SPD A and symmetric B, the largest mu with det(B - mu A) = 0 equals
 sup_{v != 0} B(v,v) / A(v,v); this realizes the supremum-over-directions step
 used by the cone-bounding inequality.  The smallest eigenvalue of a symmetric
-form is what the cone-inequality certificate checks.  The scalar entry point
-delegates to scipy; the batched versions use closed forms for d in {1, 2},
-which is all the torus domains have, and reject any other d.
+form is what the cone-inequality certificate checks.  Every kernel, the
+validated scalar entry point included, uses the closed forms for d in {1, 2},
+which is all the torus domains have, and rejects any other d.
 """
 from __future__ import annotations
 
@@ -16,16 +16,15 @@ from .errors import DomainError, ShapeError
 
 
 def spd_generalized_max_eigenvalue(A: np.ndarray, B: np.ndarray) -> float:
-    """Largest generalized eigenvalue of the pencil (B, A), A SPD."""
+    """Largest generalized eigenvalue of the pencil (B, A), A SPD and B
+    symmetric, d in {1, 2}: the batched closed form on one pencil."""
     A = validate_spd(A, context="pencil matrix A")
     B = np.asarray(B, dtype=float)
     if B.shape != A.shape:
         raise ShapeError(f"pencil shapes differ: {A.shape} vs {B.shape}")
     if np.max(np.abs(B - B.T)) > 1e-10 * max(np.max(np.abs(B)), 1e-300):
         raise DomainError("pencil matrix B is not symmetric")
-    import scipy.linalg
-    vals = scipy.linalg.eigh(B, A, eigvals_only=True)
-    return float(vals[-1])
+    return float(gen_max_eig_batch(A, B))
 
 
 def gen_max_eig_batch(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -5,13 +5,12 @@ callable ``fn(t, x) -> (lapse, spatial)`` that returns both ingredients
 together, so a composed layer (conformal factor, time reparametrization,
 stretch, splice) evaluates its input once per call and does its own work
 once.  Closed-form fields evaluate exactly; a grid-backed metric
-interpolates its samples with one cubic tensor-product spline, periodic in
-the spatial axes, fitted exactly by one banded 1-D solve per axis for the
-lapse and every spatial component together, so one metric evaluation is one
-spline call.  A lattice slice of a grid metric (its whole domain grid at one
-time) is one contraction of the time axis plus one banded basis product per
-spatial axis, from the same coefficients.  All field objects are immutable;
-evaluation is pure.
+interpolates its samples with one numpy cubic tensor-product spline for the
+lapse and every spatial component together (periodic in space, with one FFT
+solve per axis; not-a-knot in time), so one metric evaluation is one spline
+call, and a lattice slice of it (its whole domain grid at one time) is one
+time contraction plus a [1, 4, 1]/6 node stencil per spatial axis.  All field
+objects are immutable; evaluation is pure.
 
 Every certificate that checks a field on a time x space lattice samples it
 with ``sample_metric(m, t_grid, pts=None, check=True)``: one evaluation per
@@ -31,13 +30,14 @@ checked, and its pencil solved, once per slice.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .domain import SpatialDomain, is_spd_batch
+from .domain import SpatialDomain, is_spd_batch, upper_index
 from .errors import DataError, DomainError, ShapeError
 
 _INF = math.inf
@@ -256,81 +256,143 @@ def time_shift(m: MetricField, c: float) -> MetricField:
 # grid-backed representation
 # ---------------------------------------------------------------------------
 
-_PAD = 3  # wrap padding cells per side; cubic interpolation needs 2
+# uniform cubic B-spline weights of the cells i-1 .. i+2 at a fraction f of
+# cell i: _CUBIC[p] holds the f^p terms, shaped to broadcast against f (d, n)
+_CUBIC = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
+_CUBIC = _CUBIC[:, :, None, None]
+_SLAB_BYTES = 1 << 22  # time slabs a grid spline keeps
+
+
+def _sum_leading(p: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis (2^m long) as a fixed tree of elementwise
+    additions, so no entry's bits depend on the rest of its batch."""
+    while len(p) > 1:
+        p = p[:len(p) // 2] + p[len(p) // 2:]
+    return p[0]
 
 
 class _GridSpline:
-    """One cubic tensor-product spline over (t_grid x spatial grid), periodic
-    in x, for the lapse and every spatial component of a grid metric.
+    """One cubic tensor-product spline over (t_grid x spatial grid) whose
+    components are the lapse and the spatial upper triangle (row-major).
 
-    The spatial axes are padded with wrapped copies and the knots are
-    not-a-knot on every axis, so the interpolation system is a Kronecker
-    product of 1-D systems: one exact banded solve per axis
-    (``make_interp_spline``) gives the coefficients, and the spline
-    reproduces its samples to rounding.  The components sit on the spline's
-    trailing axis, the lapse first and then the spatial upper triangle
-    (row-major), so evaluating the metric (lapse and spatial form together)
-    is one spline call.
+    Each spatial axis has the uniform periodic cubic B-spline, whose circulant
+    [1, 4, 1]/6 system one FFT solves exactly (Unser, "Splines: a perfect fit
+    for signal and image processing", IEEE SPM 1999); time has not-a-knot
+    knots and one dense collocation solve.  The coefficients are wrap-padded,
+    one cell before and two after on each spatial axis.  An evaluation
+    contracts time first, once per distinct time: over the whole padded slab,
+    kept for later calls (RK4 stages repeat their times, and each
+    step-doubling level revisits the last one's), or, on a grid large against
+    the batch, over the rows it reads.  Both give the same bits, so a point's
+    value never depends on its batch.
     """
 
     def __init__(self, domain: SpatialDomain, t_grid: np.ndarray,
                  lapse_samples: np.ndarray, spatial_samples: np.ndarray):
-        from scipy.interpolate import BSpline, NdBSpline, make_interp_spline
         d = domain.dimension
-        upper = [(a, b) for a in range(d) for b in range(a, d)]
-        # component index of each (a, b) entry of the symmetric spatial form
-        self._sym = np.empty((d, d), dtype=int)
-        for k, (a, b) in enumerate(upper):
-            self._sym[a, b] = self._sym[b, a] = k
-        self.domain = domain
-        axes = [t_grid]
-        padded = np.stack(
-            [lapse_samples] + [spatial_samples[..., a, b] for a, b in upper], axis=-1
-        )
-        for ax in range(d):
-            coords = domain.axis_coords(ax)
-            h = domain.circumferences[ax] / domain.resolution[ax]
-            ext = np.concatenate(
-                [coords[0] - h * np.arange(_PAD, 0, -1), coords,
-                 coords[-1] + h * np.arange(1, _PAD + 1)]
-            )
-            axes.append(ext)
-            left = np.take(padded, range(-_PAD, 0), axis=ax + 1)
-            right = np.take(padded, range(_PAD), axis=ax + 1)
-            padded = np.concatenate([left, padded, right], axis=ax + 1)
-        knots, coef = [], padded
-        for ax, sites in enumerate(axes):
-            spl = make_interp_spline(sites, coef, k=3, axis=ax)
-            knots.append(spl.t)
-            coef = np.moveaxis(spl.c, 0, ax)
-        self._spline = NdBSpline(tuple(knots), coef, 3)
-        # the basis of each spatial axis at its grid coordinates: banded,
-        # four nonzeros per row
-        self._grid_basis = [
-            BSpline.design_matrix(domain.axis_coords(ax), knots[ax + 1], 3)
-            for ax in range(d)
-        ]
+        self.domain, self._sym = domain, upper_index(d)
+        upper = spatial_samples[(...,) + np.triu_indices(d)]
+        values = np.moveaxis(np.concatenate([lapse_samples[..., None], upper], -1), -1, 1)
+        nt, nc = values.shape[:2]
+        times = t_grid.tolist()
+        self._knots = times[:1] * 4 + times[2:-2] + times[-1:] * 4
+        colloc = np.zeros((nt, nt))
+        for i, t in enumerate(times):
+            k, b = self._basis(t)
+            colloc[i, k - 3:k + 1] = b
+        coef = np.linalg.solve(colloc, values.reshape(nt, -1)).reshape(values.shape)
+        for ax, n in enumerate(domain.resolution, start=2):
+            eig = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / 6.0
+            eig = eig.reshape((-1,) + (1,) * (coef.ndim - ax - 1))
+            coef = np.fft.irfft(np.fft.rfft(coef, axis=ax) / eig, n=n, axis=ax)
+        coef = np.pad(coef, [(0, 0), (0, 0)] + [(1, 2)] * d, mode="wrap")
+        self._padded = coef.shape[2:]
+        self._coef = coef.reshape(nt, -1)  # per time, (component, padded cell)
+        self._per_cell = np.array(domain.resolution) / np.array(domain.circumferences)
+        self._last = np.array(domain.resolution) - 1.0
+        # a point's 4^d cells (axis 0 outermost) per component, as offsets
+        # (4^d, components, 1) from its first cell in a time slab
+        block = np.ravel_multi_index(np.indices((4,) * d).reshape(d, -1), self._padded)
+        self._block = block[:, None, None] + np.arange(nc)[:, None] * int(np.prod(self._padded))
+        self._slabs = {}
 
     def __call__(self, t: np.ndarray, x: np.ndarray):
-        if self.domain.is_grid(x) and single_time(t):
-            out = self._grid_slice(float(t[0]))
+        if single_time(t):
+            t0 = float(t[0])
+            out = self._grid_slice(t0) if self.domain.is_grid(x) else self._points(t0, x)
         else:
-            out = self._spline(np.column_stack([t, self.domain.wrap(x)]))
-        return out[:, 0], out[:, 1:][:, self._sym]
+            out = self._points(t, x)
+        return out[0], out[1:].T[:, self._sym]
+
+    def _basis(self, t: float):
+        """The knot span k of t and B_{k-3} .. B_k at t by the Cox-de Boor
+        recursion (de Boor, *A Practical Guide to Splines*, ch. X); a time at
+        or past either end of the window takes its end interval."""
+        knots = self._knots
+        k = min(max(bisect.bisect_right(knots, t) - 1, 3), len(knots) - 5)
+        left = [t - knots[k - r] for r in range(3)]
+        right = [knots[k + 1 + r] - t for r in range(3)]
+        b = [1.0]
+        for j in range(1, 4):
+            saved, nxt = 0.0, []
+            for r in range(j):
+                temp = b[r] / (right[r] + left[j - 1 - r])
+                nxt.append(saved + right[r] * temp)
+                saved = left[j - 1 - r] * temp
+            b = nxt + [saved]
+        return k, b
+
+    def _time_slab(self, t: float) -> np.ndarray:
+        """The coefficients contracted over time at t, (components x cells,)."""
+        slab = self._slabs.get(t)
+        if slab is None:
+            if len(self._slabs) * self._coef[0].nbytes >= _SLAB_BYTES:
+                self._slabs.clear()
+            k, b = self._basis(t)
+            slab = self._slabs[t] = _sum_leading(self._coef[k - 3:k + 1] * np.c_[b])
+        return slab
+
+    def _time_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
+        """The coefficients at the flat slab indices rows, contracted over
+        time at t: from the slab when it is kept or costs at most about twice
+        the rows, else from the rows alone, with the same bits."""
+        if t in self._slabs or self._coef[0].size <= 2 * rows.size:
+            return np.take(self._time_slab(t), rows)
+        k, b = self._basis(t)
+        rows = np.take(self._coef[k - 3:k + 1], rows, axis=1)  # (4, 4^d, components, n)
+        return _sum_leading(rows * np.reshape(b, (4, 1, 1, 1)))
+
+    def _points(self, t, x: np.ndarray) -> np.ndarray:
+        """The spline at the points x (n, d) at one time t (a float) or at the
+        times t (n,): (components, n)."""
+        n, d = x.shape
+        u = self.domain.wrap(x) * self._per_cell
+        # x mod L can round up to L: clamp it into the last cell (f = 1);
+        # fmin sends a NaN there too, and its weights keep its column NaN
+        cell = np.fmin(np.floor(u), self._last)
+        f = (u - cell).T
+        w = ((_CUBIC[3] * f + _CUBIC[2]) * f + _CUBIC[1]) * f + _CUBIC[0]  # (4, d, n)
+        weights = w[:, 0]
+        for ax in range(1, d):
+            weights = (weights[:, None] * w[:, ax]).reshape(-1, n)
+        rows = self._block + np.ravel_multi_index(tuple(cell.T.astype(np.intp)), self._padded)
+        if isinstance(t, float):
+            c = self._time_rows(t, rows)
+        else:  # per distinct time (a NaN time gets NaN weights)
+            times, which = np.unique(t, return_inverse=True)
+            c = np.empty(rows.shape)
+            for i, ti in enumerate(times.tolist()):
+                c[..., which == i] = self._time_rows(ti, rows[..., which == i])
+        return _sum_leading(c * weights[:, None])
 
     def _grid_slice(self, t: float) -> np.ndarray:
-        """The spline on the whole domain grid at one time t, (n, components):
-        the time axis contracted with one basis row, then one banded basis
-        product per spatial axis, from the coefficients the point path uses."""
-        from scipy.interpolate import BSpline
-        c = self._spline.c
-        row = BSpline.design_matrix(np.array([t]), self._spline.t[0], 3, extrapolate=True)
-        c = (row @ c.reshape(c.shape[0], -1)).reshape(c.shape[1:])
-        for ax, basis in enumerate(self._grid_basis):
-            c = np.moveaxis(c, ax, 0)
-            rest = c.shape[1:]
-            c = np.moveaxis((basis @ c.reshape(c.shape[0], -1)).reshape((-1,) + rest), 0, ax)
-        return c.reshape(self.domain.n_points, -1)
+        """The spline on the whole domain grid at one time t, (components, n):
+        the time slab, then the node stencil [1, 4, 1]/6 per spatial axis."""
+        c = self._time_slab(t).reshape((-1,) + self._padded)
+        for ax, n in enumerate(self.domain.resolution, start=1):
+            part = [c[(slice(None),) * ax + (slice(a, a + n),)] for a in range(3)]
+            c = (part[0] + 4.0 * part[1] + part[2]) / 6.0
+        return c.reshape(len(c), -1)
 
 
 def sample_metric(m, t_grid, pts=None, check: bool = True):
@@ -376,6 +438,8 @@ def grid_metric(
     spatial_samples = np.asarray(spatial_samples, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 4:
         raise ShapeError("grid representation needs at least 4 time samples")
+    if not np.all(np.diff(t_grid) > 0):
+        raise ShapeError("grid time samples must be strictly increasing")
     d = domain.dimension
     shape = (t_grid.size,) + tuple(domain.resolution)
     if lapse_samples.shape != shape:
@@ -392,13 +456,6 @@ def grid_metric(
         _GridSpline(domain, t_grid, lapse_samples, spatial_samples),
         window=(float(t_grid[0]), float(t_grid[-1])),
     )
-
-
-def grid_sample_metric(m: MetricField, t_grid) -> MetricField:
-    """Sample a metric onto the grid and return the interpolating grid metric."""
-    lam, g = sample_metric(m, t_grid)
-    shape = lam.shape[:1] + tuple(m.domain.resolution)
-    return grid_metric(m.domain, t_grid, lam.reshape(shape), g.reshape(shape + g.shape[-2:]))
 
 
 def max_metric_deviation(a: MetricField, b: MetricField, t_samples, shift: float = 0.0):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import causality, surgery
 from .config import ScenarioConfig, build_metric
-from .domain import SpatialDomain
+from .domain import SpatialDomain, upper_index
 from .errors import FormatError
 from .fields import MetricField, ScalarField, grid_metric, sample_metric
 from .surgery import JoinArtifact, StretchResult
@@ -134,8 +134,7 @@ def export_fields(artifact, path: str, t_grid=None) -> list[str]:
     lam, g = sample_metric(metric, t_grid, pts, check=False)
     block = np.empty(lam.shape + (len(cols) - 1 - d,))  # (t, grid point, value column)
     block[..., 0] = lam
-    for k, (a, b) in enumerate(upper):
-        block[..., 1 + k] = g[..., a, b]
+    block[..., 1:1 + len(upper)] = g[(...,) + np.triu_indices(d)]
     if factor is not None:
         block[..., -1] = sample_metric(factor, t_grid, pts)
     # the t and x columns repeat from slice to slice: the grid coordinates
@@ -246,15 +245,8 @@ def read_metric_dump(path: str, domain: SpatialDomain) -> MetricField:
     if np.any(np.diff(t_grid) <= 0):
         raise FormatError("time samples are not strictly increasing", line=1)
     lam = data[:, 1 + d].reshape(n_t, n_pts)
-    comps = data[:, 2 + d :].reshape(n_t, n_pts, n_spatial)
+    spatial = data[:, 2 + d :].reshape(n_t, n_pts, n_spatial)[..., upper_index(d)]
     res = tuple(domain.resolution)
-    spatial = np.empty((n_t, n_pts, d, d))
-    idx = 0
-    for a in range(d):
-        for b in range(a, d):
-            spatial[..., a, b] = comps[..., idx]
-            spatial[..., b, a] = comps[..., idx]
-            idx += 1
     return grid_metric(
         domain, t_grid, lam.reshape((n_t,) + res), spatial.reshape((n_t,) + res + (d, d))
     )

@@ -4,7 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from causal_surgery import SpatialDomain, SpdField, ultrastatic_metric, warped_product
+from causal_surgery import SpatialDomain, SpdField, grid_metric, ultrastatic_metric, warped_product
+from causal_surgery.fields import sample_metric
 
 
 @pytest.fixture
@@ -24,6 +25,14 @@ def flrw_exp(domain, rate=1.0, g0=None):
     return warped_product(
         domain, lambda t: np.exp(rate * np.asarray(t, dtype=float)), g0
     )
+
+
+def grid_sample_metric(m, t_grid):
+    """Sample a metric onto t_grid x its domain grid and return the
+    interpolating grid metric."""
+    lam, g = sample_metric(m, t_grid)
+    shape = lam.shape[:1] + tuple(m.domain.resolution)
+    return grid_metric(m.domain, t_grid, lam.reshape(shape), g.reshape(shape + g.shape[-2:]))
 
 
 @pytest.fixture

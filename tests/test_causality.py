@@ -34,9 +34,8 @@ from causal_surgery.causality import (
     ref_distance,
 )
 from causal_surgery.errors import DataError, DomainError, OrderError
-from causal_surgery.fields import grid_sample_metric
 from causal_surgery.surgery import half_join
-from conftest import flrw_exp
+from conftest import flrw_exp, grid_sample_metric
 
 # Allowed relative excess of g(kdot,kdot) over lambda in the per-step speed
 # certificate; covers the O(step^2) midpoint-measurement bias at step 1e-3.

@@ -49,8 +49,7 @@ def invoke(*args):
 
 
 def test_cli_import_loads_numpy_only():
-    """Importing the CLI loads no scipy module: the grid spline and the scalar
-    pencil kernel import it when they first run."""
+    """Importing the CLI loads no scipy module."""
     src = os.path.dirname(os.path.dirname(causal_surgery.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, causal_surgery.cli; "
@@ -58,6 +57,41 @@ def test_cli_import_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+_NO_SCIPY = """
+import os, sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+sys.meta_path.insert(0, NoScipy())
+from click.testing import CliRunner
+from causal_surgery.cli import _DEMO_FILES, main
+demos = os.path.join(os.path.dirname(sys.modules["causal_surgery"].__file__), "demos")
+for name, fname in _DEMO_FILES.items():
+    out = os.path.join(sys.argv[1], name)
+    for args in (["demo", name, "--out", out],
+                 ["verify", "--config", os.path.join(demos, fname), os.path.join(out, "metric.csv")]):
+        r = CliRunner().invoke(main, args)
+        print(args[0], name, r.exit_code, r.output.count("[PASS]"), r.output.count("[FAIL]"))
+"""
+
+
+def test_demos_build_and_verify_without_scipy(tmp_path):
+    """Every demo builds and verifies with scipy imports blocked."""
+    src = os.path.dirname(os.path.dirname(causal_surgery.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    # (exit code, PASS lines, FAIL lines) of each build and verify
+    want = {"flrw-circle": ((0, 3, 0), (0, 2, 0)), "anisotropic-torus": ((0, 3, 0), (0, 2, 0)),
+            "join-ultrastatic": ((0, 5, 0), (0, 2, 0)), "join-pair": ((0, 11, 0), (0, 1, 0))}
+    got = {}
+    for line in out.stdout.splitlines():
+        cmd, name, *counts = line.split()
+        got.setdefault(name, []).append(tuple(map(int, counts)))
+    assert got == {name: list(w) for name, w in want.items()}
 
 
 # -- exit codes ------------------------------------------------------------
@@ -445,8 +479,8 @@ def test_dump_reader_accepts_what_float_accepts(tmp_path, text, message):
     lines[20] = ",".join("%.17g" % float(p) for p in lines[20].split(",")[:4])
     canonical = tmp_path / "canonical.csv"
     canonical.write_text("\n".join(lines) + "\n")
-    a = read_metric_dump(str(edited), domain).fn._spline.c
-    np.testing.assert_array_equal(a, read_metric_dump(str(canonical), domain).fn._spline.c)
+    a = read_metric_dump(str(edited), domain).fn._coef
+    np.testing.assert_array_equal(a, read_metric_dump(str(canonical), domain).fn._coef)
 
 
 def _per_cell_csv(cols, pts, t_grid, block):

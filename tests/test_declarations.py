@@ -30,7 +30,8 @@ from causal_surgery import (
 from causal_surgery import surgery
 from causal_surgery.causality import reference_field
 from causal_surgery.errors import DataError
-from causal_surgery.fields import grid_sample_metric, sample_metric
+from causal_surgery.fields import sample_metric
+from conftest import grid_sample_metric
 
 _DOMAINS = {
     1: SpatialDomain(1, (2 * np.pi,), (12,)),

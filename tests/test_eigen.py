@@ -70,6 +70,11 @@ def test_rejects_shape_mismatch():
         spd_generalized_max_eigenvalue(np.eye(2), np.eye(3))
 
 
+def test_scalar_kernel_rejects_dimension_three():
+    with pytest.raises(ShapeError):
+        spd_generalized_max_eigenvalue(np.eye(3), np.eye(3))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_batch_matches_scalar(seed):
     rng = np.random.default_rng(100 + seed)

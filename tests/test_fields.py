@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.interpolate import RegularGridInterpolator
-from scipy.sparse.linalg import spsolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from causal_surgery import (
     MetricField,
@@ -18,8 +19,8 @@ from causal_surgery import (
     validate_spd,
 )
 from causal_surgery.errors import DataError, DomainError, ShapeError
-from causal_surgery.fields import as_batch, grid_sample_metric, max_metric_deviation
-from conftest import flrw_exp
+from causal_surgery.fields import as_batch, max_metric_deviation
+from conftest import flrw_exp, grid_sample_metric
 
 
 # -- domain ----------------------------------------------------------------
@@ -220,26 +221,25 @@ def test_grid_metric_shape_validation(circle, torus):
         grid_metric(circle, t_grid, np.ones((5, 32)), np.ones((5, 64, 1, 1)))
     with pytest.raises(ShapeError):
         grid_metric(torus, t_grid, np.ones((5, 16, 16)), np.ones((5, 16, 16, 1, 1)))
+    with pytest.raises(ShapeError, match="strictly increasing"):
+        grid_metric(circle, [0.0, 1.0, 1.0, 2.0, 3.0], np.ones((5, 32)), np.ones((5, 32, 1, 1)))
 
 
-def _rgi_oracle(domain, t_grid, values):
-    """Per-component cubic RegularGridInterpolator on the same wrap-padded
-    axes, its collocation system solved directly: the interpolant the fused
-    grid spline must reproduce to rounding."""
-    axes, padded = [t_grid], values
+def _periodic_oracle(domain, t_grid, values):
+    """Per-component cubic spline from scipy: not-a-knot in time and periodic
+    on each spatial axis (one ``make_interp_spline`` per axis), evaluated by
+    ``NdBSpline``: the interpolant the fused grid spline must reproduce to
+    rounding."""
+    spl = make_interp_spline(t_grid, values, k=3, axis=0)
+    knots, coef = [spl.t], spl.c
     for ax in range(domain.dimension):
-        coords = domain.axis_coords(ax)
-        h = domain.circumferences[ax] / domain.resolution[ax]
-        axes.append(np.concatenate(
-            [coords[0] - h * np.arange(3, 0, -1), coords, coords[-1] + h * np.arange(1, 4)]
-        ))
-        padded = np.concatenate(
-            [np.take(padded, range(-3, 0), axis=ax + 1), padded,
-             np.take(padded, range(3), axis=ax + 1)], axis=ax + 1,
-        )
-    rgi = RegularGridInterpolator(axes, padded, method="cubic", bounds_error=False,
-                                  fill_value=None, solver=spsolve)
-    return lambda t, x: rgi(np.column_stack([t, domain.wrap(x)]))
+        sites = np.append(domain.axis_coords(ax), domain.circumferences[ax])
+        closed = np.concatenate([coef, np.take(coef, [0], axis=ax + 1)], axis=ax + 1)
+        spl = make_interp_spline(sites, closed, k=3, axis=ax + 1, bc_type="periodic")
+        knots.append(spl.t)
+        coef = np.moveaxis(spl.c, 0, ax + 1)
+    spline = NdBSpline(tuple(knots), coef, 3)
+    return lambda t, x: spline(np.column_stack([t, domain.wrap(x)]))
 
 
 def _random_grid_metric(domain, rng):
@@ -263,10 +263,10 @@ def test_grid_metric_equals_per_component_cubic_interpolation(dim, n):
     t = rng.uniform(-1.0, 2.0, n)
     x = rng.uniform(-10.0, 10.0, (n, dim))
     lam_b, g_b = gm.eval(t, x, check=False)
-    np.testing.assert_allclose(lam_b, _rgi_oracle(domain, t_grid, lam)(t, x), rtol=1e-12)
+    np.testing.assert_allclose(lam_b, _periodic_oracle(domain, t_grid, lam)(t, x), rtol=1e-12)
     for a in range(dim):
         for b in range(a, dim):
-            expect = _rgi_oracle(domain, t_grid, g[..., a, b])(t, x)
+            expect = _periodic_oracle(domain, t_grid, g[..., a, b])(t, x)
             np.testing.assert_allclose(g_b[:, a, b], expect, rtol=1e-12)
             np.testing.assert_array_equal(g_b[:, b, a], g_b[:, a, b])
     # a reference slice is the same spline at a fixed time
@@ -298,9 +298,10 @@ def _slice_domain(dim):
 
 
 def _point_path(spline, t, x):
-    """The grid spline's general path: one NdBSpline call at the points."""
-    out = spline._spline(np.column_stack([t, spline.domain.wrap(x)]))
-    return out[:, 0], out[:, 1:][:, spline._sym]
+    """The grid spline's general path: a time basis per point, then one
+    gather of each point's 4^(d+1) coefficient rows and one contraction."""
+    out = spline._points(t, x)
+    return out[0], out[1:].T[:, spline._sym]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -315,8 +316,8 @@ def test_grid_metric_on_grid_slice_matches_point_path(dim):
         lam, g = spline(tb, grid)
         # the call on the grid at one time is the per-axis slice
         out = spline._grid_slice(t)
-        np.testing.assert_array_equal(lam, out[:, 0])
-        np.testing.assert_array_equal(g, out[:, 1:][:, spline._sym])
+        np.testing.assert_array_equal(lam, out[0])
+        np.testing.assert_array_equal(g, out[1:].T[:, spline._sym])
         lam_p, g_p = _point_path(spline, tb, grid)
         assert np.max(np.abs(lam - lam_p)) <= 1e-13 * np.max(np.abs(lam_p))
         for a in range(dim):
@@ -341,6 +342,79 @@ def test_grid_metric_other_batches_take_the_point_path(dim, monkeypatch):
         lam_p, g_p = _point_path(spline, t, x)
         np.testing.assert_array_equal(lam, lam_p)
         np.testing.assert_array_equal(g, g_p)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_metric_rows_do_not_depend_on_the_batch(dim):
+    """A point gets the same bits alone (time contracted over its rows), in
+    a one-time batch (over the whole slab) and in a batch of mixed times."""
+    domain = _slice_domain(dim)
+    rng = np.random.default_rng(40 + dim)
+    _, _, _, gm = _random_grid_metric(domain, rng)
+    x = rng.uniform(-5.0, 5.0, (300, dim))
+    alone = [gm.fn(np.full(1, 0.3), x[i:i + 1]) for i in (0, 17, 299)]  # before any slab
+    lam, g = gm.fn(np.full(300, 0.3), x)
+    for i, (lam_i, g_i) in zip((0, 17, 299), alone):
+        assert lam_i[0] == lam[i]
+        np.testing.assert_array_equal(g_i[0], g[i])
+    t = np.full(300, 0.3)
+    t[::2] = rng.uniform(-1.0, 2.0, 150)
+    lam_m, g_m = gm.fn(t, x)
+    np.testing.assert_array_equal(lam_m[1::2], lam[1::2])
+    np.testing.assert_array_equal(g_m[1::2], g[1::2])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_metric_edges_of_the_index_arithmetic(dim):
+    """A point whose x mod L rounds up to L is clamped into the last cell,
+    where it equals x = 0 to rounding; the window's end times reproduce their
+    samples."""
+    domain = _slice_domain(dim)
+    t_grid, lam, _, gm = _random_grid_metric(domain, np.random.default_rng(50 + dim))
+    x = np.zeros((3, dim))
+    x[1, -1] = -1e-300
+    x[2, 0] = -np.finfo(float).eps
+    L = domain.circumferences
+    np.testing.assert_array_equal(domain.wrap(x[1:]).max(axis=1), [L[-1], L[0]])
+    for t in (0.7, np.full(3, 0.7)):
+        out = gm.fn._points(t, x)
+        np.testing.assert_allclose(out[:, 1:], out[:, [0, 0]], rtol=1e-14, atol=0)
+    grid = domain.grid_points()
+    for k in (0, -1):
+        lam_k, _ = gm.fn(np.full(len(grid), t_grid[k]), grid[::-1])
+        np.testing.assert_allclose(lam_k, lam[k].ravel()[::-1], rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+    cells=st.lists(st.integers(0, 2**20 - 1), min_size=2, max_size=2),
+    periods=st.lists(st.integers(-4, 4), min_size=2, max_size=2),
+    t=st.floats(-1.0, 2.0),
+)
+def test_grid_spline_interpolates_and_is_periodic(dim, seed, cells, periods, t):
+    """Nodes reproduce their samples to 1e-12, on the lattice slice and on
+    the point path, and x and x + k L give bit-equal values.  The
+    circumferences are powers of two and x a multiple of L / 2^20, so
+    x + k L is exact."""
+    domain = (SpatialDomain(1, (4.0,), (12,)) if dim == 1
+              else SpatialDomain(2, (4.0, 2.0), (10, 8)))
+    t_grid, lam, g, gm = _random_grid_metric(domain, np.random.default_rng(seed))
+    grid = domain.grid_points()
+    n = len(grid)
+    for k in range(t_grid.size):
+        tk = np.full(n, t_grid[k])
+        for pts, order in ((grid, slice(None)), (grid[::-1].copy(), slice(None, None, -1))):
+            lam_k, g_k = gm.fn(tk, pts)
+            np.testing.assert_allclose(lam_k, lam[k].ravel()[order], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(g_k, g[k].reshape(n, dim, dim)[order], rtol=1e-12, atol=0)
+    L = np.array(domain.circumferences)
+    x = np.array(cells[:dim]) * L / 2**20
+    shifted = x + np.array(periods[:dim]) * L
+    out = gm.fn(np.full(2, t), np.stack([x, shifted]))
+    assert out[0][0] == out[0][1]
+    np.testing.assert_array_equal(out[1][0], out[1][1])
 
 
 def test_max_metric_deviation(circle):

@@ -214,8 +214,8 @@ def test_grid_metric_eval_is_one_spline_call():
     lam = 1.0 + 0.3 * rng.random((5, 8, 8))
     a = rng.random((5, 8, 8, 2, 2))
     gm = grid_metric(TORUS, t_grid, lam, a @ np.swapaxes(a, -1, -2) + np.eye(2))
-    spline = _Counter(gm.fn._spline)
-    gm.fn._spline = spline
+    spline = _Counter(gm.fn._points)
+    gm.fn._points = spline
     gm.eval(np.zeros(4), rng.uniform(0.0, 4.0, (4, 2)))
     assert spline.calls == 1
 

@@ -25,13 +25,9 @@ from causal_surgery.causality import (
     verify_convex_bound,
 )
 from causal_surgery.errors import ConstraintError, DataError
-from causal_surgery.fields import (
-    grid_sample_metric,
-    max_metric_deviation,
-    sample_metric,
-)
+from causal_surgery.fields import max_metric_deviation, sample_metric
 from causal_surgery.profiles import smooth_unit_step
-from conftest import flrw_exp
+from conftest import flrw_exp, grid_sample_metric
 
 CIRCLE = SpatialDomain(1, (2 * np.pi,), (16,))
 TORUS = SpatialDomain(2, (2 * np.pi, 4.0), (8, 8))

@@ -154,10 +154,21 @@ def summarise_trace(pairs: list[dict], names: list[str], units: dict, seeds: lis
     return out
 
 
+_VERSIONS = """
+import importlib.metadata as m
+for name in ("numpy", "scipy"):
+    try:
+        print(m.version(name))
+    except m.PackageNotFoundError:
+        print("absent")
+"""
+
+
 def host() -> str:
-    versions = subprocess.run(
-        [sys.executable, "-c", "import numpy, scipy; print(numpy.__version__, scipy.__version__)"],
-        capture_output=True, text=True).stdout.split() or ["?", "?"]
+    """The platform, and the numpy and scipy versions ("absent" for a package
+    that is not installed, "?" if they cannot be read)."""
+    versions = subprocess.run([sys.executable, "-c", _VERSIONS], capture_output=True,
+                              text=True).stdout.split() or ["?", "?"]
     return (f"{platform.system()} {platform.machine()}, Python {platform.python_version()}, "
             f"numpy {versions[0]}, scipy {versions[-1]}")
 
