@@ -260,7 +260,7 @@ def time_shift(m: MetricField, c: float) -> MetricField:
 # cell i: _CUBIC[p] holds the f^p terms, shaped to broadcast against f (d, n)
 _CUBIC = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
 _CUBIC = _CUBIC[:, :, None, None]
-_SLAB_BYTES = 1 << 22  # time slabs a grid spline keeps
+_SLAB_BYTES = 1 << 22  # bytes of time slabs a grid spline keeps
 
 
 def _sum_leading(p: np.ndarray) -> np.ndarray:
@@ -292,8 +292,8 @@ class _GridSpline:
         d = domain.dimension
         self.domain, self._sym = domain, upper_index(d)
         upper = spatial_samples[(...,) + np.triu_indices(d)]
-        values = np.moveaxis(np.concatenate([lapse_samples[..., None], upper], -1), -1, 1)
-        nt, nc = values.shape[:2]
+        values = np.concatenate([lapse_samples[..., None], upper], -1)
+        nt, nc = values.shape[0], values.shape[-1]
         times = t_grid.tolist()
         self._knots = times[:1] * 4 + times[2:-2] + times[-1:] * 4
         colloc = np.zeros((nt, nt))
@@ -301,19 +301,19 @@ class _GridSpline:
             k, b = self._basis(t)
             colloc[i, k - 3:k + 1] = b
         coef = np.linalg.solve(colloc, values.reshape(nt, -1)).reshape(values.shape)
-        for ax, n in enumerate(domain.resolution, start=2):
+        for ax, n in enumerate(domain.resolution, start=1):
             eig = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / 6.0
             eig = eig.reshape((-1,) + (1,) * (coef.ndim - ax - 1))
             coef = np.fft.irfft(np.fft.rfft(coef, axis=ax) / eig, n=n, axis=ax)
-        coef = np.pad(coef, [(0, 0), (0, 0)] + [(1, 2)] * d, mode="wrap")
-        self._padded = coef.shape[2:]
-        self._coef = coef.reshape(nt, -1)  # per time, (component, padded cell)
+        coef = np.pad(coef, [(0, 0)] + [(1, 2)] * d + [(0, 0)], mode="wrap")
+        self._padded = coef.shape[1:-1]
+        self._coef = coef.reshape(nt, -1, nc)  # per time, (padded cell, component)
         self._per_cell = np.array(domain.resolution) / np.array(domain.circumferences)
         self._last = np.array(domain.resolution) - 1.0
-        # a point's 4^d cells (axis 0 outermost) per component, as offsets
-        # (4^d, components, 1) from its first cell in a time slab
-        block = np.ravel_multi_index(np.indices((4,) * d).reshape(d, -1), self._padded)
-        self._block = block[:, None, None] + np.arange(nc)[:, None] * int(np.prod(self._padded))
+        self._stride = np.array([np.prod(self._padded[ax + 1:]) for ax in range(d)], float)
+        # a point's 4^d cells (axis 0 outermost) as offsets (4^d, 1) from its first
+        self._block = (np.indices((4,) * d).reshape(d, -1).T @ self._stride)[:, None]
+        self._block = self._block.astype(np.intp)
         self._slabs = {}
 
     def __call__(self, t: np.ndarray, x: np.ndarray):
@@ -322,7 +322,7 @@ class _GridSpline:
             out = self._grid_slice(t0) if self.domain.is_grid(x) else self._points(t0, x)
         else:
             out = self._points(t, x)
-        return out[0], out[1:].T[:, self._sym]
+        return out[:, 0], out[:, 1:][:, self._sym]
 
     def _basis(self, t: float):
         """The knot span k of t and B_{k-3} .. B_k at t by the Cox-de Boor
@@ -343,56 +343,57 @@ class _GridSpline:
         return k, b
 
     def _time_slab(self, t: float) -> np.ndarray:
-        """The coefficients contracted over time at t, (components x cells,)."""
+        """The coefficients contracted over time at t, (cells, components)."""
         slab = self._slabs.get(t)
         if slab is None:
             if len(self._slabs) * self._coef[0].nbytes >= _SLAB_BYTES:
                 self._slabs.clear()
             k, b = self._basis(t)
-            slab = self._slabs[t] = _sum_leading(self._coef[k - 3:k + 1] * np.c_[b])
+            slab = _sum_leading(self._coef[k - 3:k + 1] * np.reshape(b, (4, 1, 1)))
+            self._slabs[t] = slab
         return slab
 
     def _time_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
-        """The coefficients at the flat slab indices rows, contracted over
-        time at t: from the slab when it is kept or costs at most about twice
-        the rows, else from the rows alone, with the same bits."""
-        if t in self._slabs or self._coef[0].size <= 2 * rows.size:
-            return np.take(self._time_slab(t), rows)
+        """The coefficients of the slab cells rows, contracted over time at t:
+        from the slab when it is kept or costs at most about twice the rows,
+        else from the rows alone, with the same bits."""
+        if t in self._slabs or len(self._coef[0]) <= 2 * rows.size:
+            return np.take(self._time_slab(t), rows, axis=0)
         k, b = self._basis(t)
-        rows = np.take(self._coef[k - 3:k + 1], rows, axis=1)  # (4, 4^d, components, n)
+        rows = np.take(self._coef[k - 3:k + 1], rows, axis=1)  # (4, 4^d, n, components)
         return _sum_leading(rows * np.reshape(b, (4, 1, 1, 1)))
 
     def _points(self, t, x: np.ndarray) -> np.ndarray:
         """The spline at the points x (n, d) at one time t (a float) or at the
-        times t (n,): (components, n)."""
+        times t (n,): (n, components)."""
         n, d = x.shape
         u = self.domain.wrap(x) * self._per_cell
         # x mod L can round up to L: clamp it into the last cell (f = 1);
-        # fmin sends a NaN there too, and its weights keep its column NaN
+        # fmin sends a NaN there too, and its NaN weights keep its row NaN
         cell = np.fmin(np.floor(u), self._last)
         f = (u - cell).T
         w = ((_CUBIC[3] * f + _CUBIC[2]) * f + _CUBIC[1]) * f + _CUBIC[0]  # (4, d, n)
         weights = w[:, 0]
         for ax in range(1, d):
             weights = (weights[:, None] * w[:, ax]).reshape(-1, n)
-        rows = self._block + np.ravel_multi_index(tuple(cell.T.astype(np.intp)), self._padded)
+        rows = self._block + (cell @ self._stride).astype(np.intp)  # (4^d, n)
         if isinstance(t, float):
             c = self._time_rows(t, rows)
         else:  # per distinct time (a NaN time gets NaN weights)
             times, which = np.unique(t, return_inverse=True)
-            c = np.empty(rows.shape)
+            c = np.empty(rows.shape + self._coef.shape[-1:])
             for i, ti in enumerate(times.tolist()):
-                c[..., which == i] = self._time_rows(ti, rows[..., which == i])
-        return _sum_leading(c * weights[:, None])
+                c[:, which == i] = self._time_rows(ti, rows[:, which == i])
+        return _sum_leading(c * weights[..., None])
 
     def _grid_slice(self, t: float) -> np.ndarray:
-        """The spline on the whole domain grid at one time t, (components, n):
+        """The spline on the whole domain grid at one time t, (n, components):
         the time slab, then the node stencil [1, 4, 1]/6 per spatial axis."""
-        c = self._time_slab(t).reshape((-1,) + self._padded)
-        for ax, n in enumerate(self.domain.resolution, start=1):
+        c = self._time_slab(t).reshape(self._padded + (-1,))
+        for ax, n in enumerate(self.domain.resolution):
             part = [c[(slice(None),) * ax + (slice(a, a + n),)] for a in range(3)]
             c = (part[0] + 4.0 * part[1] + part[2]) / 6.0
-        return c.reshape(len(c), -1)
+        return c.reshape(self.domain.n_points, -1)
 
 
 def sample_metric(m, t_grid, pts=None, check: bool = True):

@@ -301,7 +301,7 @@ def _point_path(spline, t, x):
     """The grid spline's general path: a time basis per point, then one
     gather of each point's 4^(d+1) coefficient rows and one contraction."""
     out = spline._points(t, x)
-    return out[0], out[1:].T[:, spline._sym]
+    return out[:, 0], out[:, 1:][:, spline._sym]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -316,8 +316,8 @@ def test_grid_metric_on_grid_slice_matches_point_path(dim):
         lam, g = spline(tb, grid)
         # the call on the grid at one time is the per-axis slice
         out = spline._grid_slice(t)
-        np.testing.assert_array_equal(lam, out[0])
-        np.testing.assert_array_equal(g, out[1:].T[:, spline._sym])
+        np.testing.assert_array_equal(lam, out[:, 0])
+        np.testing.assert_array_equal(g, out[:, 1:][:, spline._sym])
         lam_p, g_p = _point_path(spline, tb, grid)
         assert np.max(np.abs(lam - lam_p)) <= 1e-13 * np.max(np.abs(lam_p))
         for a in range(dim):
@@ -378,7 +378,7 @@ def test_grid_metric_edges_of_the_index_arithmetic(dim):
     np.testing.assert_array_equal(domain.wrap(x[1:]).max(axis=1), [L[-1], L[0]])
     for t in (0.7, np.full(3, 0.7)):
         out = gm.fn._points(t, x)
-        np.testing.assert_allclose(out[:, 1:], out[:, [0, 0]], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(out[1:], out[[0, 0]], rtol=1e-14, atol=0)
     grid = domain.grid_points()
     for k in (0, -1):
         lam_k, _ = gm.fn(np.full(len(grid), t_grid[k]), grid[::-1])
