@@ -260,7 +260,6 @@ def time_shift(m: MetricField, c: float) -> MetricField:
 # cell i: _CUBIC[p] holds the f^p terms, shaped to broadcast against f (d, n)
 _CUBIC = np.array([[1, 4, 1, 0], [-3, 0, 3, 0], [3, -6, 3, 0], [-1, 3, -3, 1]]) / 6.0
 _CUBIC = _CUBIC[:, :, None, None]
-_SLAB_BYTES = 1 << 22  # bytes of time slabs a grid spline keeps
 
 
 def _sum_leading(p: np.ndarray) -> np.ndarray:
@@ -281,10 +280,8 @@ class _GridSpline:
     knots and one dense collocation solve.  The coefficients are wrap-padded,
     one cell before and two after on each spatial axis.  An evaluation
     contracts time first, once per distinct time: over the whole padded slab,
-    kept for later calls (RK4 stages repeat their times, and each
-    step-doubling level revisits the last one's), or, on a grid large against
-    the batch, over the rows it reads.  Both give the same bits, so a point's
-    value never depends on its batch.
+    or, on a grid large against the batch, over the rows it reads.  Both give
+    the same bits, so a point's value never depends on its batch.
     """
 
     def __init__(self, domain: SpatialDomain, t_grid: np.ndarray,
@@ -314,7 +311,6 @@ class _GridSpline:
         # a point's 4^d cells (axis 0 outermost) as offsets (4^d, 1) from its first
         self._block = (np.indices((4,) * d).reshape(d, -1).T @ self._stride)[:, None]
         self._block = self._block.astype(np.intp)
-        self._slabs = {}
 
     def __call__(self, t: np.ndarray, x: np.ndarray):
         if single_time(t):
@@ -344,20 +340,14 @@ class _GridSpline:
 
     def _time_slab(self, t: float) -> np.ndarray:
         """The coefficients contracted over time at t, (cells, components)."""
-        slab = self._slabs.get(t)
-        if slab is None:
-            if len(self._slabs) * self._coef[0].nbytes >= _SLAB_BYTES:
-                self._slabs.clear()
-            k, b = self._basis(t)
-            slab = _sum_leading(self._coef[k - 3:k + 1] * np.reshape(b, (4, 1, 1)))
-            self._slabs[t] = slab
-        return slab
+        k, b = self._basis(t)
+        return _sum_leading(self._coef[k - 3:k + 1] * np.reshape(b, (4, 1, 1)))
 
     def _time_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
         """The coefficients of the slab cells rows, contracted over time at t:
-        from the slab when it is kept or costs at most about twice the rows,
-        else from the rows alone, with the same bits."""
-        if t in self._slabs or len(self._coef[0]) <= 2 * rows.size:
+        from the slab when it costs at most about twice the rows, else from
+        the rows alone, with the same bits."""
+        if len(self._coef[0]) <= 2 * rows.size:
             return np.take(self._time_slab(t), rows, axis=0)
         k, b = self._basis(t)
         rows = np.take(self._coef[k - 3:k + 1], rows, axis=1)  # (4, 4^d, n, components)

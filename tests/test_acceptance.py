@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from causal_surgery import (
     ScalarField,
@@ -220,8 +221,10 @@ def test_criterion_5_eigenvalue_kernel():
             / np.einsum("ni,ij,nj->n", dirs, A, dirs)
         ))
         worst = max(worst, abs(mu - oracle) / abs(oracle))
-        # the batched closed form must agree with the scalar kernel too
-        assert gen_max_eig_batch(A[None], B[None])[0] == pytest.approx(mu, rel=1e-10)
+        # both kernels must agree with an exact symmetric-definite solver too
+        exact = scipy.linalg.eigh(B, A, eigvals_only=True)[-1]
+        assert mu == pytest.approx(exact, rel=1e-12)
+        assert gen_max_eig_batch(A[None], B[None])[0] == pytest.approx(exact, rel=1e-12)
     assert worst <= 1e-3
     _report(5, True, f"100 SPD pairs, worst oracle deviation {worst:.2e} <= 1e-3")
 

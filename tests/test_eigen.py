@@ -1,9 +1,11 @@
 """Generalized max eigenvalue: scalar entry point, batched closed forms,
-maximizing directions, all against a brute-force direction-sampling oracle."""
+maximizing directions, against a brute-force direction-sampling oracle and
+against scipy's symmetric-definite solver."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from causal_surgery import spd_generalized_max_eigenvalue
 from causal_surgery.domain import is_spd_batch
@@ -75,16 +77,35 @@ def test_scalar_kernel_rejects_dimension_three():
         spd_generalized_max_eigenvalue(np.eye(3), np.eye(3))
 
 
+def _eigh_max(A, B):
+    """Largest generalized eigenvalue from scipy.linalg.eigh (LAPACK sygvd)."""
+    return float(scipy.linalg.eigh(B, A, eigvals_only=True)[-1])
+
+
 @pytest.mark.parametrize("seed", range(10))
-def test_batch_matches_scalar(seed):
+def test_batch_and_scalar_match_eigh(seed):
     rng = np.random.default_rng(100 + seed)
     A = np.stack([_random_spd(rng, 2) for _ in range(40)])
     B = np.stack([_random_spd(rng, 2) - np.eye(2) for _ in range(40)])
     batched = gen_max_eig_batch(A, B)
     for i in range(40):
-        assert batched[i] == pytest.approx(
-            spd_generalized_max_eigenvalue(A[i], B[i]), rel=1e-10, abs=1e-12
-        )
+        ref = _eigh_max(A[i], B[i])
+        assert batched[i] == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert spd_generalized_max_eigenvalue(A[i], B[i]) == pytest.approx(
+            ref, rel=1e-13, abs=1e-15)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-12, -1e-9, 0.0])
+def test_nearly_proportional_pencil_is_exact_to_rounding(eps):
+    """B = c A + eps E: the eigenvalue gap is eps-small, where the batched
+    trace/determinant form keeps only half the digits; the scalar kernel
+    keeps them all."""
+    cases = [(np.eye(2), np.diag([1.0, 1.0 + eps])),
+             (np.array([[2.0, 0.3], [0.3, 1.0]]),
+              3.0 * np.array([[2.0, 0.3], [0.3, 1.0]]) + np.diag([0.0, eps]))]
+    for A, B in cases:
+        ref = _eigh_max(A, B)
+        assert spd_generalized_max_eigenvalue(A, B) == pytest.approx(ref, rel=1e-15)
 
 
 def test_batch_d1():
