@@ -5,10 +5,8 @@ sup_{v != 0} B(v,v) / A(v,v); this realizes the supremum-over-directions step
 used by the cone-bounding inequality.  The smallest eigenvalue of a symmetric
 form is what the cone-inequality certificate checks.  Every kernel uses
 closed forms for d in {1, 2}, which is all the torus domains have, and rejects
-any other d.  The validated scalar entry point first reduces the pencil by the
-Cholesky factor of A to one symmetric form, which keeps a nearly proportional
-pencil exact to rounding; the batched kernel's trace/determinant form loses
-about half the digits there (1e-9 gaps come out as 5e-10).
+any other d.  The validated scalar entry point first reduces its pencil by the
+Cholesky factor of A, so a nearly proportional pencil stays exact to rounding.
 """
 from __future__ import annotations
 
