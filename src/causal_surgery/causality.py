@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import SpatialDomain
-from .eigen import gen_max_eig_batch, gen_max_eig_direction
+from .eigen import gen_max_eig_batch, gen_max_eig_direction, sym_min_eig_batch
 from .errors import DomainError, OrderError
 from .fields import (
     MetricField,
@@ -41,7 +41,7 @@ from .fields import (
     SpdField,
     as_shape,
     max_metric_deviation,
-    sample_metric,
+    sweep_blocks,
 )
 from .profiles import smooth_unit_step
 
@@ -126,8 +126,11 @@ def _grid_sup_speed(m: MetricField, ref: SpdField, ts) -> np.ndarray:
     """Sup over the spatial grid of the maximal coordinate speed at each time of
     ts, (nt,); NaN propagates, so an unresolved sample cannot look bounded."""
     pts = m.domain.grid_points()
-    lam, g = sample_metric(m, ts, pts)
-    return np.max(np.sqrt(lam * gen_max_eig_batch(g, ref.at(pts))), axis=1)
+    ref_pts = ref.at(pts)
+    sup = np.empty(len(ts))
+    for block, (lam, g) in sweep_blocks(m, ts, pts):
+        sup[block] = np.max(np.sqrt(lam * gen_max_eig_batch(g, ref_pts)), axis=1)
+    return sup
 
 
 # ---------------------------------------------------------------------------
@@ -718,29 +721,32 @@ def causal_diamond_extent(
 def check_ultrastatic_report(
     m: MetricField, window: tuple[float, float], tol: float, n_t: int = 9
 ) -> CheckReport:
-    """Unit lapse and time-independent spatial form across window samples."""
+    """Unit lapse and time-independent spatial form across window samples;
+    a NaN sample fails."""
     lo = max(window[0], m.window[0])
     hi = min(window[1], m.window[1])
     if hi < lo:
         raise DomainError("check window outside metric validity window")
     pts = m.domain.grid_points()
     ts = np.linspace(lo, hi, n_t)
-    lam, g = sample_metric(m, ts, pts, check=False)
-    lapse_dev = np.abs(lam - 1.0)
-    lapse_bad = np.max(lapse_dev, axis=1) > tol
-    # each slice against the first, relative to the slice's own size
-    drift = np.max(np.abs(g - g[0]).reshape(ts.size, -1), axis=1)
-    scale = np.maximum(np.max(np.abs(g).reshape(ts.size, -1), axis=1), 1.0)
-    bad = lapse_bad | (drift > tol * scale)
-    if not np.any(bad):
-        return CheckReport(True)
-    k = int(np.argmax(bad))  # earliest failing slice; the lapse is checked first
-    if lapse_bad[k]:
-        i = int(np.argmax(lapse_dev[k]))
-        return CheckReport(
-            False, f"lapse {lam[k, i]!r} differs from 1 at t={ts[k]}, x={pts[i].tolist()}"
-        )
-    return CheckReport(False, f"spatial form varies in time by {drift[k]:.3e} at t={ts[k]}")
+    first = None
+    for block, (lam, g) in sweep_blocks(m, ts, pts, check=False):
+        first = g[0].copy() if first is None else first
+        lapse_dev = np.abs(lam - 1.0)
+        lapse_bad = ~(np.max(lapse_dev, axis=1) <= tol)
+        # each slice against the first, relative to the slice's own size
+        drift = np.max(np.abs(g - first).reshape(len(g), -1), axis=1)
+        scale = np.maximum(np.max(np.abs(g).reshape(len(g), -1), axis=1), 1.0)
+        bad = lapse_bad | ~(drift <= tol * scale)
+        if np.any(bad):
+            k = int(np.argmax(bad))  # earliest failing slice; the lapse is checked first
+            t, i = ts[block][k], int(np.argmax(lapse_dev[k]))
+            if lapse_bad[k]:
+                return CheckReport(
+                    False, f"lapse {lam[k, i]!r} differs from 1 at t={t}, x={pts[i].tolist()}"
+                )
+            return CheckReport(False, f"spatial form varies in time by {drift[k]:.3e} at t={t}")
+    return CheckReport(True)
 
 
 def check_isometry_report(
@@ -771,21 +777,22 @@ def verify_convex_bound(
 ) -> CheckReport:
     """Comparison-metric bounds for the convex ultrastatic interpolation:
     k_theta(t) dominates (1-theta(2/3)) k0 for t <= 2/3 and theta(1/3) k1 for
-    t >= 1/3, so each covering half has a complete uniform lower bound."""
+    t >= 1/3, so each covering half has a complete uniform lower bound.  A
+    NaN sample fails."""
     pts = metric.domain.grid_points()
-    # the t <= 2/3 half against (1-theta(2/3)) k0, then the t >= 1/3 half
-    # against theta(1/3) k1, as one sweep
-    ts = np.concatenate([np.linspace(-0.5, 2.0 / 3.0, n_t), np.linspace(1.0 / 3.0, 1.5, n_t)])
-    _, g = sample_metric(metric, ts, pts, check=False)
-    g[:n_t] -= (1.0 - smooth_unit_step(2.0 / 3.0)) * k0.at(pts)
-    g[n_t:] -= smooth_unit_step(1.0 / 3.0) * k1.at(pts)
-    ev = np.linalg.eigvalsh(g)[..., 0]
-    bad = np.min(ev, axis=1) < -tol
-    if not np.any(bad):
-        return CheckReport(True)
-    k = int(np.argmax(bad))
-    i = int(np.argmin(ev[k]))
-    tag = "(1-theta(2/3))*k0" if k < n_t else "theta(1/3)*k1"
-    return CheckReport(
-        False, f"k_theta - {tag} has eigenvalue {ev[k, i]:.3e} at t={ts[k]}, x={pts[i].tolist()}"
+    halves = (  # the t <= 2/3 half, then the t >= 1/3 half
+        (np.linspace(-0.5, 2.0 / 3.0, n_t), (1.0 - smooth_unit_step(2.0 / 3.0)) * k0.at(pts),
+         "(1-theta(2/3))*k0"),
+        (np.linspace(1.0 / 3.0, 1.5, n_t), smooth_unit_step(1.0 / 3.0) * k1.at(pts),
+         "theta(1/3)*k1"),
     )
+    for ts, bound, tag in halves:
+        for block, (_, g) in sweep_blocks(metric, ts, pts, check=False):
+            ev = sym_min_eig_batch(g - bound)
+            bad = ~(np.min(ev, axis=1) >= -tol)
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                i = int(np.argmin(ev[k]))
+                return CheckReport(False, f"k_theta - {tag} has eigenvalue {ev[k, i]:.3e} "
+                                          f"at t={ts[block][k]}, x={pts[i].tolist()}")
+    return CheckReport(True)

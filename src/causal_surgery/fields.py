@@ -12,12 +12,16 @@ call, and a lattice slice of it (its whole domain grid at one time) is one
 time contraction plus a [1, 4, 1]/6 node stencil per spatial axis.  All field
 objects are immutable; evaluation is pure.
 
-Every certificate that checks a field on a time x space lattice samples it
-with ``sample_metric(m, t_grid, pts=None, check=True)``: one evaluation per
-time value, in order, over the point set ``pts`` (the domain grid by
-default), stacked into (nt, n) lapse and (nt, n, d, d) spatial arrays for a
-metric, or (nt, n) values for a scalar field.  Callers reduce over the
-stacked arrays; the batching of lattice evaluations is decided here only.
+Every lattice of a field, time x space, is sampled by
+``sample_metric(m, t_grid, pts=None, check=True)``: one evaluation per time
+value, in order, over the point set ``pts`` (the domain grid by default),
+stacked into (nt, n) lapse and (nt, n, d, d) spatial arrays for a metric, or
+(nt, n) values for a scalar field.  A certificate reduces its sweep block by
+block with ``sweep_blocks``: ``sample_metric`` over consecutive runs of
+t_grid holding about ``SWEEP_BLOCK_POINTS`` lattice points each (one slice of
+a 128 x 128 grid, a whole sweep of a small one), so a block's forms stay
+cache-sized and no whole sweep is stacked.  The batching of lattice
+evaluations is decided here only.
 
 A lattice slice is a batch with one time (``single_time``) at the domain
 grid (``SpatialDomain.is_grid``), and a layer may evaluate it separably,
@@ -413,6 +417,25 @@ def sample_metric(m, t_grid, pts=None, check: bool = True):
     return lam, g
 
 
+# lattice points per block of a certificate sweep: one slice of a 128 x 128
+# grid, so the eigen kernels run over arrays that stay in cache
+SWEEP_BLOCK_POINTS = 2 ** 14
+
+
+def sweep_blocks(m, t_grid, pts=None, check: bool = True):
+    """``sample_metric`` over consecutive runs of t_grid, each of as many
+    whole slices as fit in SWEEP_BLOCK_POINTS lattice points (at least one):
+    yields (the slice of t_grid, its samples), in order, so the evaluations
+    are those of one ``sample_metric`` call over all of t_grid."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if pts is None:
+        pts = m.domain.grid_points()
+    step = max(1, SWEEP_BLOCK_POINTS // pts.shape[0])
+    for start in range(0, t_grid.size, step):
+        block = slice(start, min(start + step, t_grid.size))
+        yield block, sample_metric(m, t_grid[block], pts, check)
+
+
 def grid_metric(
     domain: SpatialDomain,
     t_grid,
@@ -459,12 +482,14 @@ def max_metric_deviation(a: MetricField, b: MetricField, t_samples, shift: float
         raise ShapeError("metrics live on different spatial domains")
     ts = np.asarray(t_samples, dtype=float)
     pts = a.domain.grid_points()
-    la, ga = sample_metric(a, ts, pts, check=False)
-    lb, gb = sample_metric(b, ts + shift, pts, check=False)
-    ga = ga.reshape(la.shape + (-1,))
-    gb = gb.reshape(la.shape + (-1,))
-    diff_l = np.abs(la - lb) / np.maximum(np.maximum(np.abs(la), np.abs(lb)), 1.0)
-    diff_g = np.abs(ga - gb).max(axis=2) / np.maximum(np.abs(ga).max(axis=2), 1.0)
-    dev = np.maximum(diff_l, diff_g)
-    k, i = np.unravel_index(np.argmax(dev), dev.shape)
-    return float(dev[k, i]), (float(ts[k]), pts[i].tolist())
+    worst, at = np.empty(ts.size), np.empty(ts.size, dtype=int)  # per slice
+    for (block, (la, ga)), (_, (lb, gb)) in zip(
+            sweep_blocks(a, ts, pts, check=False), sweep_blocks(b, ts + shift, pts, check=False)):
+        ga = ga.reshape(la.shape + (-1,))
+        gb = gb.reshape(la.shape + (-1,))
+        diff_l = np.abs(la - lb) / np.maximum(np.maximum(np.abs(la), np.abs(lb)), 1.0)
+        diff_g = np.abs(ga - gb).max(axis=2) / np.maximum(np.abs(ga).max(axis=2), 1.0)
+        dev = np.maximum(diff_l, diff_g)
+        worst[block], at[block] = np.max(dev, axis=1), np.argmax(dev, axis=1)
+    k = int(np.argmax(worst))  # like argmax over every sample: the first NaN or maximum
+    return float(worst[k]), (float(ts[k]), pts[at[k]].tolist())

@@ -33,8 +33,8 @@ from .fields import (
     SpdField,
     as_shape,
     max_metric_deviation,
-    sample_metric,
     single_time,
+    sweep_blocks,
     time_reverse,
     time_shift,
     ultrastatic_metric,
@@ -174,25 +174,27 @@ class _MajorantField:
 
     # -- node machinery ----------------------------------------------------
 
-    def _lower_on_grid(self, ts) -> np.ndarray:
-        """The lower bound on ts x the spatial grid, (nt, n), checked finite
-        and positive."""
+    def _lower_max(self, ts) -> np.ndarray:
+        """Max over the times ts of the lower bound on the spatial grid, (n,),
+        with every sample checked finite and positive."""
         ts = np.asarray(ts, dtype=float)
-        v = sample_metric(self.lower, ts, self.grid)
-        bad = ~(np.isfinite(v) & (v > 0))
-        if np.any(bad):
-            k, i = np.unravel_index(np.argmax(bad), v.shape)
-            raise DomainError(
-                f"lower bound {v[k, i]!r} not finite and positive at t={ts[k]}, "
-                f"x={self.grid[i].tolist()}"
-            )
-        return v
+        out = np.full(len(self.grid), -INF)
+        for block, v in sweep_blocks(self.lower, ts, self.grid):
+            bad = ~(np.isfinite(v) & (v > 0))
+            if np.any(bad):
+                k, i = np.unravel_index(np.argmax(bad), v.shape)
+                raise DomainError(
+                    f"lower bound {v[k, i]!r} not finite and positive at t={ts[block][k]}, "
+                    f"x={self.grid[i].tolist()}"
+                )
+            out = np.maximum(out, v.max(axis=0))
+        return out
 
     def _slab(self, k: int) -> np.ndarray:
         """Max of the lower bound over slab [k h, (k+1) h], sampled."""
         if k not in self._slab_max:
             ts = MAJORANT_NODE_SPACING * (k + np.linspace(0.0, 1.0, MAJORANT_SUBSAMPLES))
-            self._slab_max[k] = self._lower_on_grid(ts).max(axis=0)
+            self._slab_max[k] = self._lower_max(ts)
         return self._slab_max[k]
 
     def _node_value(self, v: np.ndarray) -> float | np.ndarray:
@@ -213,7 +215,7 @@ class _MajorantField:
             if k == self.K:
                 # lower is constant in t before K h: one sample row stands for
                 # the plateau, and slab K is still covered by node K
-                row = self._lower_on_grid([(k - 1) * MAJORANT_NODE_SPACING])[0]
+                row = self._lower_max([(k - 1) * MAJORANT_NODE_SPACING])
                 v = np.maximum(row, self._slab(k))
             else:
                 v = np.maximum(self._slab(k - 1), self._slab(k))
@@ -352,17 +354,16 @@ def _recheck_majorant(f, lower, domain, t_window):
         for lo, hi in spans
         if np.isfinite(lo) and np.isfinite(hi) and hi > lo
     ])
-    fv = sample_metric(f, ts, grid)
-    lv = sample_metric(lower, ts, grid)
-    # a NaN on either side fails
-    bad = ~(fv >= lv * (1.0 - 1e-12))
-    if np.any(bad):
-        k, i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ConstraintError(
-            f"majorant {fv[k, i]!r} below lower bound {lv[k, i]!r} at "
-            f"t={ts[k]}, x={grid[i].tolist()}; plateau constraints are "
-            f"inconsistent with the lower bound"
-        )
+    for (block, fv), (_, lv) in zip(sweep_blocks(f, ts, grid), sweep_blocks(lower, ts, grid)):
+        # a NaN on either side fails
+        bad = ~(fv >= lv * (1.0 - 1e-12))
+        if np.any(bad):
+            k, i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ConstraintError(
+                f"majorant {fv[k, i]!r} below lower bound {lv[k, i]!r} at "
+                f"t={ts[block][k]}, x={grid[i].tolist()}; plateau constraints are "
+                f"inconsistent with the lower bound"
+            )
 
 
 def stretch_metric(m: MetricField, f: ScalarField) -> MetricField:
@@ -459,17 +460,21 @@ def cone_inequality_report(
     pts = stretched.domain.grid_points()
     refv = causality.reference_field(stretched.domain, j, g0).at(pts)
     ts = np.linspace(t_window[0], t_window[1], n_t)
-    lam, g = sample_metric(stretched, ts, pts, check=False)
-    scale = float(np.max(np.abs(g)))
-    g -= np.maximum(1.0, lam)[..., None, None] * refv
-    ev = sym_min_eig_batch(g)
-    k, i = np.unravel_index(np.argmin(ev), ev.shape)
-    worst = float(ev[k, i])
+    scale, low, at = np.empty(n_t), np.empty(n_t), np.empty(n_t, dtype=int)  # per slice
+    for block, (lam, g) in sweep_blocks(stretched, ts, pts, check=False):
+        scale[block] = np.max(np.abs(g).reshape(len(g), -1), axis=1)
+        g -= np.maximum(1.0, lam)[..., None, None] * refv
+        ev = sym_min_eig_batch(g)
+        low[block], at[block] = np.min(ev, axis=1), np.argmin(ev, axis=1)
+    scale = float(np.max(scale))
+    k = int(np.argmin(low))  # like argmin over every sample: the first NaN or minimum
+    worst = float(low[k])
     passed = worst >= -tol * max(scale, 1.0)
     return ConeInequalityReport(
         worst, scale, passed,
         "" if passed else
-        f"cone inequality violated: min eigenvalue {worst:.3e} at t={ts[k]}, x={pts[i].tolist()}",
+        f"cone inequality violated: min eigenvalue {worst:.3e} at t={ts[k]}, "
+        f"x={pts[at[k]].tolist()}",
     )
 
 

@@ -18,7 +18,12 @@ so a drift of the host's speed falls on both sides alike.
 With ``--trace 0`` the workload's entry under ``end_to_end`` gets, for every
 end-to-end metric of BENCHMARK.json, the median and quartiles of each side
 (``statistics.quantiles``, n=4), the pairs in which the change is lower and
-the relative change of the medians; plus the failed-op share of each side,
+the relative change of the medians, and two verdicts, both printed at the
+end: ``gain_shown``, whether the change is better (in the metric's
+``better`` direction) in at least 9 of every 10 pairs and its median is
+better than the parent's by more than the parent's quartile gap, and
+``within_bound``, whether the change's median is worse than the parent's by
+no more than the metric's relative ``bound``; plus the failed-op share of each side,
 whether every run was correct and in how many pairs the output digests
 agree; and, under ``order_effect``, the median change-minus-parent
 ``wall_ref`` delta over the pairs the parent ran first and over those the
@@ -112,6 +117,10 @@ def summarise_end_to_end(pairs: list[dict], metrics: list[dict], seeds: list[int
         chg = [p["change"]["metrics"][name]["value"] for p in ok]
         pq1, pmed, pq3 = quartiles(par)
         cq1, cmed, cq3 = quartiles(chg)
+        # the change's gain over the parent, positive when it is better
+        sign = 1.0 if m["better"] == "lower" else -1.0
+        better = sum(sign * (p - c) > 0 for c, p in zip(chg, par))
+        gain = sign * (pmed - cmed)
         out[name] = {
             "unit": m["unit"],
             "parent_median": round(pmed, 4), "parent_q1": round(pq1, 4),
@@ -120,6 +129,9 @@ def summarise_end_to_end(pairs: list[dict], metrics: list[dict], seeds: list[int
             "change_q3": round(cq3, 4),
             "change_lower_in_pairs": f"{sum(c < p for c, p in zip(chg, par))}/{len(ok)}",
             "relative_change": round(cmed / pmed - 1.0, 4),
+            "change_better_in_pairs": f"{better}/{len(ok)}",
+            "gain_shown": better >= 0.9 * len(ok) and gain > pq3 - pq1,
+            "within_bound": -gain <= m["bound"] * abs(pmed),
         }
 
     def share(side):
@@ -224,14 +236,17 @@ def main() -> int:
                     "traced" if args.trace else f"wall_ref {pair[side]['metrics']['wall_ref']['value']:.2f}"))
                 for side in ("parent", "change")), flush=True)
     if not args.trace:
-        wall = record["end_to_end"][args.workload].get("wall_ref")
-        if wall:
-            gap = wall["parent_q3"] - wall["parent_q1"]
-            order = record["end_to_end"][args.workload]["order_effect"]
-            print(f"wall_ref median {wall['parent_median']} -> {wall['change_median']} "
-                  f"({wall['relative_change']:+.1%}), change lower in "
-                  f"{wall['change_lower_in_pairs']} pairs, parent quartile gap {gap:.2f}, "
-                  f"first side slower by {order.get('first_side_slower_by')}")
+        summary = record["end_to_end"][args.workload]
+        for m in bench["end_to_end"]:
+            s = summary.get(m["name"])
+            if s:
+                print(f"{m['name']} median {s['parent_median']} -> {s['change_median']} "
+                      f"({s['relative_change']:+.1%}), change better in "
+                      f"{s['change_better_in_pairs']} pairs, parent quartile gap "
+                      f"{s['parent_q3'] - s['parent_q1']:.4g}, gain_shown {s['gain_shown']}, "
+                      f"within_bound {s['within_bound']} (bound {m['bound']:+.0%})")
+        print(f"wall_ref first side slower by "
+              f"{summary['order_effect'].get('first_side_slower_by')}")
     return 0
 
 
