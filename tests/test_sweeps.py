@@ -431,7 +431,14 @@ def test_block_sweeps_report_their_failures():
     assert not sweeps["gh-nan"]().passed
     assert np.isnan(sweeps["cone_inequality-nan"]().min_eigenvalue)
     assert np.isnan(sweeps["max_metric_deviation-nan"]()[0])
-    assert sweeps["max_metric_deviation-tie"]()[1][0] == np.linspace(-1.0, 1.0, 9)[2]
+    ts = np.linspace(-1.0, 1.0, 9)
+    assert sweeps["max_metric_deviation-tie"]()[1][0] == ts[2]
+    assert sweeps["cone_inequality-tie"]().detail.endswith(f"t={ts[2]}, x={PTS[2].tolist()}")
+    late = np.linspace(1.0 / 3.0, 1.5, 25)
+    assert sweeps["convex_bound-fail-late"]().detail == (
+        f"k_theta - theta(1/3)*k1 has eigenvalue {-smooth_unit_step(1.0 / 3.0):.3e} "
+        f"at t={late[5]}, x={PTS[5].tolist()}"
+    )
     # the cone inequality's scale is the largest |g| of the sweep, here at its start
     shrinking = flrw_exp(CIRCLE, rate=-1.0)
     report = surgery.cone_inequality_report(

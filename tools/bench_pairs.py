@@ -18,9 +18,10 @@ so a drift of the host's speed falls on both sides alike.
 With ``--trace 0`` the workload's entry under ``end_to_end`` gets, for every
 end-to-end metric of BENCHMARK.json, the median and quartiles of each side
 (``statistics.quantiles``, n=4), the pairs in which the change is lower and
-the relative change of the medians, and two verdicts, both printed at the
-end: ``gain_shown``, whether the change is better (in the metric's
-``better`` direction) in at least 9 of every 10 pairs and its median is
+the relative change of the medians, the pairs in which the change is better
+(in the metric's ``better`` direction), and two verdicts, both printed at
+the end: ``gain_shown``, whether the change is better in at least 9 of
+every 10 pairs and its median is
 better than the parent's by more than the parent's quartile gap, and
 ``within_bound``, whether the change's median is worse than the parent's by
 no more than the metric's relative ``bound``; plus the failed-op share of each side,
