@@ -422,14 +422,12 @@ def sample_metric(m, t_grid, pts=None, check: bool = True):
 SWEEP_BLOCK_POINTS = 2 ** 14
 
 
-def sweep_blocks(m, t_grid, pts=None, check: bool = True):
+def sweep_blocks(m, t_grid, pts: np.ndarray, check: bool = True):
     """``sample_metric`` over consecutive runs of t_grid, each of as many
     whole slices as fit in SWEEP_BLOCK_POINTS lattice points (at least one):
     yields (the slice of t_grid, its samples), in order, so the evaluations
     are those of one ``sample_metric`` call over all of t_grid."""
     t_grid = np.asarray(t_grid, dtype=float)
-    if pts is None:
-        pts = m.domain.grid_points()
     step = max(1, SWEEP_BLOCK_POINTS // pts.shape[0])
     for start in range(0, t_grid.size, step):
         block = slice(start, min(start + step, t_grid.size))
