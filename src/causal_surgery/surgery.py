@@ -407,13 +407,12 @@ def make_globally_hyperbolic(
     (max(t_window[0], -2), -0.5), at tolerance ``verify_tol`` and finest
     step ``verify_step``.
     """
-    with _stage("completeness_factor"):
+    with _stage("cone_bound_factor"):
         if g0 is None:
             g0 = m.spatial_slice(0.0)
         if j is None:
             # on a compact torus every metric is complete
             j = ScalarField.constant(1.0)
-    with _stage("cone_bound_factor"):
         lower = cone_bound_factor(m, j, g0)
     with _stage("smooth_majorant"):
         f = smooth_majorant(

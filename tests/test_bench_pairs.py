@@ -1,5 +1,6 @@
 """``tools/bench_pairs.summarise_end_to_end`` on synthetic pairs: the
-``gain_shown`` and ``within_bound`` verdicts of each end-to-end metric."""
+``gain_shown`` and ``within_bound`` verdicts of each end-to-end metric, and
+the outputs whose digests differ."""
 from __future__ import annotations
 
 import importlib.util
@@ -82,3 +83,17 @@ def test_pairs_with_an_error_are_left_out():
     assert out["wall_ref"]["gain_shown"]
     assert out["errors"] == ["seed 10 parent: exit 1: boom"]
     assert not out["correct_all_runs"]
+
+
+def test_digests_differ_names_each_output_whose_digest_differs_in_some_pair():
+    pairs = _pairs(PARENT, PARENT)
+    for p in pairs:
+        p["parent"]["digests"] = ["digest a.build metric.csv 01", "digest a.build report.json 02"]
+        p["change"]["digests"] = ["digest a.build metric.csv 03", "digest a.build report.json 02"]
+    pairs[4]["change"]["digests"] = ["digest a.build metric.csv 01", "digest a.build report.json 09"]
+    pairs[7]["change"]["digests"].append("digest a.verify output.txt 04")
+    out = _summary(pairs)
+    assert out["digests_agree_in_pairs"] == "0/10"
+    assert out["digests_differ"] == [
+        "a.build metric.csv", "a.build report.json", "a.verify output.txt"]
+    assert _summary(_pairs(PARENT, PARENT))["digests_differ"] == []

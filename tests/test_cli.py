@@ -263,7 +263,7 @@ DEMO_DIGESTS = {
         "ef6d5b7eba1ca7aae7bbe1ec53ebcf30f115a87d31847881ffa3a61854e06180",
     ),
     "anisotropic-torus": (
-        "3f463354fafd38490b0fe2f76eccc7f2eb19f3bd3f0f2cd7b67d49db99f09a53",
+        "b004b91b0a5a0f1514a59a3da80bc6f4417e3ef1263a44481fe13a6fdd944121",
         "69b16099dea234102f799bbbfb30c521ac192d9fa76f43f976cb97e559500030",
     ),
     "join-ultrastatic": (

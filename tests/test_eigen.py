@@ -3,9 +3,13 @@ maximizing directions, against a brute-force direction-sampling oracle and
 against scipy's symmetric-definite solver."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causal_surgery import spd_generalized_max_eigenvalue
 from causal_surgery.domain import is_spd_batch
@@ -82,6 +86,16 @@ def _eigh_max(A, B):
     return float(scipy.linalg.eigh(B, A, eigvals_only=True)[-1])
 
 
+def _rayleigh(v, A, B):
+    """B(v,v) / A(v,v) in exact rational arithmetic, rounded once."""
+    v = [Fraction(x) for x in v]
+
+    def form(M):
+        return sum(v[i] * Fraction(M[i, j]) * v[j] for i in range(2) for j in range(2))
+
+    return float(form(B) / form(A))
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_batch_and_scalar_match_eigh(seed):
     rng = np.random.default_rng(100 + seed)
@@ -97,15 +111,35 @@ def test_batch_and_scalar_match_eigh(seed):
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-12, -1e-9, 0.0])
 def test_nearly_proportional_pencil_is_exact_to_rounding(eps):
-    """B = c A + eps E: the eigenvalue gap is eps-small, where the batched
-    trace/determinant form keeps only half the digits; the scalar kernel
-    keeps them all."""
+    """B = c A + eps E: the eigenvalue gap is eps-small, where a
+    trace/determinant form would keep only half the digits; the batch, the
+    scalar and the direction's Rayleigh quotient keep them all."""
     cases = [(np.eye(2), np.diag([1.0, 1.0 + eps])),
              (np.array([[2.0, 0.3], [0.3, 1.0]]),
               3.0 * np.array([[2.0, 0.3], [0.3, 1.0]]) + np.diag([0.0, eps]))]
     for A, B in cases:
         ref = _eigh_max(A, B)
-        assert spd_generalized_max_eigenvalue(A, B) == pytest.approx(ref, rel=1e-15)
+        assert gen_max_eig_batch(A, B) == pytest.approx(ref, rel=1e-15, abs=0)
+        assert spd_generalized_max_eigenvalue(A, B) == pytest.approx(ref, rel=1e-15, abs=0)
+        assert _rayleigh(gen_max_eig_direction(A, B), A, B) == pytest.approx(
+            ref, rel=1e-15, abs=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lo=st.floats(1e-3, 1.0), hi=st.floats(1.0, 10.0), angle=st.floats(0.0, np.pi),
+       c=st.one_of(st.floats(-10.0, -0.1), st.floats(0.1, 10.0)),
+       eps=st.floats(-1e-6, 1e-6), seed=st.integers(0, 2**32 - 1))
+def test_nearly_proportional_pencils_match_eigh(lo, hi, angle, c, eps, seed):
+    """B = c A + eps E with A's smallest eigenvalue down to 1e-3: the batch
+    and the direction's Rayleigh quotient match eigh to 1e-12."""
+    q = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    A = q @ np.diag([lo, hi]) @ q.T
+    A = 0.5 * (A + A.T)
+    E = np.random.default_rng(seed).standard_normal((2, 2))
+    B = c * A + eps * (E + E.T)
+    ref = _eigh_max(A, B)
+    assert gen_max_eig_batch(A, B) == pytest.approx(ref, rel=1e-12, abs=0)
+    assert _rayleigh(gen_max_eig_direction(A, B), A, B) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_batch_d1():
@@ -146,7 +180,7 @@ def test_direction_achieves_maximum(seed):
     mu = gen_max_eig_batch(A, B)
     v = gen_max_eig_direction(A, B)
     ratio = np.einsum("ni,nij,nj->n", v, B, v) / np.einsum("ni,nij,nj->n", v, A, v)
-    np.testing.assert_allclose(ratio, mu, rtol=1e-8)
+    np.testing.assert_allclose(ratio, mu, rtol=1e-14)
 
 
 def test_direction_degenerate_pencil_returns_unit_vector():

@@ -2,6 +2,8 @@
 interpolation, splice, and the assembled joins."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,9 +32,11 @@ from causal_surgery.errors import (
     CertificateError,
     ConstraintError,
     DomainError,
+    ExprEvalError,
     ShapeError,
     SpliceError,
 )
+from causal_surgery.config import MetricSpec, build_metric
 from causal_surgery.fields import warped_product
 from causal_surgery.surgery import (
     MAJORANT_EPS,
@@ -53,6 +57,15 @@ def test_make_globally_hyperbolic_takes_j_one_unless_given(circle):
     assert make_globally_hyperbolic(m, verify=False).j(0.0, 0.5) == 1.0
     j = ScalarField.constant(3.0)
     assert make_globally_hyperbolic(m, j=j, verify=False).j is j
+
+
+def test_an_error_in_the_default_slice_names_the_cone_bound_stage(circle):
+    """g_0 defaults to the slice at t = 0, inside the cone-bound step of the
+    composite, which is the stage an error there names."""
+    m = build_metric(MetricSpec("custom", {"g11": "2 + 1/t"}), circle)
+    with pytest.raises(ExprEvalError,
+                       match=re.escape("[stage cone_bound_factor] division by zero in '1.0 / t'")):
+        make_globally_hyperbolic(m, verify=False)
 
 
 def test_cone_bound_factor_flrw_closed_form(circle):

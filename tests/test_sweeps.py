@@ -282,10 +282,20 @@ def test_nan_lapse_is_rejected_by_the_gh_certificate():
         verify_global_hyperbolicity(m, SpdField.constant(CIRCLE, np.eye(1)), (-1.0, 1.0))
 
 
-def test_nan_reference_speed_fails_the_gh_certificate():
-    m = MetricField(CIRCLE, lambda t, x: (np.ones_like(t), np.ones((t.size, 1, 1))))
-    ref = SpdField(CIRCLE, lambda x: np.where(x[:, :, None] == 0.0, np.nan, 1.0))
-    cert = verify_global_hyperbolicity(m, ref, (-1.0, 1.0))
+@pytest.mark.parametrize("domain", [CIRCLE, TORUS], ids=["1d", "2d"])
+def test_nan_reference_speed_fails_the_gh_certificate(domain):
+    # in 2-d only the off-diagonal entry is NaN, which the pencil kernel reads
+    # only through its reduced off-diagonal; a RuntimeWarning fails the test
+    d = domain.dimension
+    m = MetricField(domain, lambda t, x: (np.ones_like(t),
+                                          np.broadcast_to(np.eye(d), (t.size, d, d))))
+
+    def forms(x):
+        g = np.broadcast_to(np.eye(d), (x.shape[0], d, d)).copy()
+        g[x[:, 0] == 0.0, -1, 0] = g[x[:, 0] == 0.0, 0, -1] = np.nan
+        return g
+
+    cert = verify_global_hyperbolicity(m, SpdField(domain, forms), (-1.0, 1.0))
     assert not cert.passed
     assert cert.detail == "unbounded reference speed on slab [0.0, 1.0]"
     assert all(np.isnan(bound) for _, _, bound in cert.slabs)
@@ -520,7 +530,8 @@ def test_sweep_tests_hold_at_every_block_size(monkeypatch, tmp_path, slices):
         test_convex_bound_names_the_earliest_failure(half)
     test_majorant_recheck_names_the_earliest_failure()
     test_nan_lapse_is_rejected_by_the_gh_certificate()
-    test_nan_reference_speed_fails_the_gh_certificate()
+    for domain in (CIRCLE, TORUS):
+        test_nan_reference_speed_fails_the_gh_certificate(domain)
     for part in ("lapse", "spatial"):
         test_nan_sample_fails_the_ultrastatic_check(part)
     test_nan_spatial_form_fails_the_convex_bound(CIRCLE)

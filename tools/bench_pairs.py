@@ -25,8 +25,10 @@ every 10 pairs and its median is
 better than the parent's by more than the parent's quartile gap, and
 ``within_bound``, whether the change's median is worse than the parent's by
 no more than the metric's relative ``bound``; plus the failed-op share of each side,
-whether every run was correct and in how many pairs the output digests
-agree; and, under ``order_effect``, the median change-minus-parent
+whether every run was correct, in how many pairs the output digests
+agree and, under ``digests_differ`` (also printed), the sorted ``op file``
+names whose digests differ between the sides in any pair; and, under
+``order_effect``, the median change-minus-parent
 ``wall_ref`` delta over the pairs the parent ran first and over those the
 change ran first, with half their difference, the amount by which the side
 that runs first reads slower.  With ``--trace 1`` the entry under
@@ -109,6 +111,17 @@ def order_effect(pairs: list[dict]) -> dict:
     return out
 
 
+def digests_differ(pairs: list[dict]) -> list[str]:
+    """Sorted ``op file`` names whose digest differs between the two sides of
+    some pair, or is printed by one side only."""
+    names = set()
+    for p in pairs:
+        par, chg = ({ln.rsplit(" ", 1)[0].removeprefix("digest "): ln for ln in p[side]["digests"]}
+                    for side in ("parent", "change"))
+        names |= {name for name in par.keys() | chg.keys() if par.get(name) != chg.get(name)}
+    return sorted(names)
+
+
 def summarise_end_to_end(pairs: list[dict], metrics: list[dict], seeds: list[int]) -> dict:
     ok = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
     out = {}
@@ -146,6 +159,7 @@ def summarise_end_to_end(pairs: list[dict], metrics: list[dict], seeds: list[int
         p[side]["correct"] for p in ok for side in ("parent", "change"))
     out["digests_agree_in_pairs"] = (
         f"{sum(p['parent']['digests'] == p['change']['digests'] for p in ok)}/{len(pairs)}")
+    out["digests_differ"] = digests_differ(ok)
     out["seeds"] = seeds[:len(pairs)]
     errors = [f"seed {p['seed']} {side}: {p[side]['error']}" for p in pairs
               for side in ("parent", "change") if "error" in p[side]]
@@ -248,6 +262,7 @@ def main() -> int:
                       f"within_bound {s['within_bound']} (bound {m['bound']:+.0%})")
         print(f"wall_ref first side slower by "
               f"{summary['order_effect'].get('first_side_slower_by')}")
+        print(f"digests differ: {', '.join(summary['digests_differ']) or 'none'}")
     return 0
 
 
